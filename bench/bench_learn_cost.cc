@@ -10,17 +10,29 @@
  * designed degradation: configurations whose state space exceeds the
  * budget end in a clean abstention, never a wrong machine.
  *
- * Reported alongside wall-clock timings of representative learning
- * sessions (concrete semantics at 4 ways, recency roles at 8 ways).
+ * A third table learns a hidden dip@2 level through the measuring
+ * machine backend, as the inference pipeline's escalation does.
+ *
+ * Every row (learner host seconds, membership and equivalence words,
+ * states, per target) also lands in BENCH_learn_cost.json. Reported
+ * alongside wall-clock timings of representative learning sessions
+ * (concrete semantics at 4 ways, recency roles at 8 ways).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_json.hh"
+#include "recap/common/parallel.hh"
 #include "recap/common/table.hh"
+#include "recap/hw/machine.hh"
+#include "recap/infer/geometry_probe.hh"
+#include "recap/infer/measurement.hh"
+#include "recap/infer/pipeline.hh"
 #include "recap/learn/lstar.hh"
 #include "recap/learn/teacher.hh"
 #include "recap/policy/factory.hh"
@@ -39,7 +51,20 @@ struct LearnCost
 {
     LearnResult result;
     uint64_t accesses = 0;
+    /** Host seconds of the learning session alone. */
+    double seconds = 0.0;
 };
+
+/** Runs @p learner, timing the session into @p cost. */
+void
+timedRun(learn::LStarLearner& learner, LearnCost& cost)
+{
+    const auto start = std::chrono::steady_clock::now();
+    cost.result = learner.run();
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    cost.seconds = elapsed.count();
+}
 
 LearnCost
 learnOnce(const std::string& spec, unsigned ways,
@@ -51,7 +76,7 @@ learnOnce(const std::string& spec, unsigned ways,
     learn::OracleTeacher teacher(oracle, batch);
     learn::LStarLearner learner(teacher, options);
     LearnCost cost;
-    cost.result = learner.run();
+    timedRun(learner, cost);
     cost.accesses = teacher.accessesUsed();
     return cost;
 }
@@ -63,8 +88,32 @@ semanticsName(SymbolSemantics semantics)
                                                        : "concrete";
 }
 
+/** One BENCH_learn_cost.json row. */
+benchjson::Object
+jsonRow(const std::string& table, const std::string& target,
+        const std::string& semantics, const LearnCost& cost)
+{
+    const bool learned =
+        cost.result.outcome == LearnOutcome::kLearned;
+    return {{"table", table},
+            {"target", target},
+            {"semantics", semantics},
+            {"outcome", std::string(learned ? "learned" : "abstained")},
+            {"states", uint64_t{cost.result.states}},
+            {"membership_words", cost.result.membershipWords},
+            {"equivalence_words", cost.result.equivalenceWords},
+            {"accesses", cost.accesses},
+            {"learn_s", cost.seconds}};
+}
+
+std::string
+targetName(const std::string& spec, unsigned ways)
+{
+    return spec + "@" + std::to_string(ways);
+}
+
 void
-printCostTable()
+printCostTable(benchjson::Writer& json)
 {
     std::cout << "====================================================\n";
     std::cout << " L1: query cost of active policy learning\n";
@@ -94,7 +143,8 @@ printCostTable()
     };
 
     TextTable table({"policy", "k", "semantics", "states", "words",
-                     "accesses shared", "accesses naive", "saving"});
+                     "accesses shared", "accesses naive", "saving",
+                     "learn s"});
     for (const auto& config : configs) {
         if (!policy::specSupportsWays(config.spec, config.ways))
             continue;
@@ -104,10 +154,13 @@ printCostTable()
             learnOnce(config.spec, config.ways, options, true);
         const auto naive =
             learnOnce(config.spec, config.ways, options, false);
+        json.row(jsonRow("cost", targetName(config.spec, config.ways),
+                         semanticsName(config.semantics), shared));
         if (shared.result.outcome != LearnOutcome::kLearned) {
             table.addRow({config.spec, std::to_string(config.ways),
                           semanticsName(config.semantics),
-                          "abstained", "-", "-", "-", "-"});
+                          "abstained", "-", "-", "-", "-",
+                          formatDouble(shared.seconds, 3)});
             continue;
         }
         table.addRow(
@@ -119,14 +172,15 @@ printCostTable()
              std::to_string(naive.accesses),
              formatPercent(1.0 - static_cast<double>(shared.accesses) /
                                      static_cast<double>(
-                                         naive.accesses))});
+                                         naive.accesses)),
+             formatDouble(shared.seconds, 3)});
     }
     table.print(std::cout);
     std::cout << "\n";
 }
 
 void
-printAbstentionTable()
+printAbstentionTable(benchjson::Writer& json)
 {
     std::cout << " L1b: state-space walls end in abstention\n\n";
 
@@ -151,6 +205,9 @@ printAbstentionTable()
         options.maxWords = 200000;
         const auto cost =
             learnOnce(config.spec, config.ways, options, true);
+        json.row(jsonRow("abstention",
+                         targetName(config.spec, config.ways),
+                         semanticsName(config.semantics), cost));
         table.addRow(
             {config.spec, std::to_string(config.ways),
              semanticsName(config.semantics),
@@ -160,6 +217,55 @@ printAbstentionTable()
                        " states"
                  : "abstained: " + cost.result.diagnostics});
     }
+    table.print(std::cout);
+    std::cout << "\n";
+}
+
+/**
+ * The pipeline's learning escalation on its own: a hidden dip@2
+ * level learned through the measuring machine backend, with the
+ * pipeline's learner budgets and level-0 seed.
+ */
+void
+printMeasuredTable(benchjson::Writer& json)
+{
+    std::cout << " L1c: learning through the machine backend\n\n";
+
+    hw::MachineSpec spec;
+    spec.name = "rig-dip";
+    spec.description = "hidden dip rig";
+    hw::CacheLevelSpec level;
+    level.name = "L1";
+    level.capacityBytes = uint64_t{64} * 64 * 2;
+    level.ways = 2;
+    level.hitLatency = 4;
+    level.policySpec = "dip";
+    spec.levels = {level};
+    spec.memoryLatency = 100;
+
+    hw::Machine machine(spec);
+    infer::MeasurementContext ctx(machine);
+    query::MachineOracle oracle(ctx, infer::assumedGeometry(spec), 0);
+    learn::OracleTeacher teacher(oracle);
+    LearnOptions options = infer::PolicyLearningOptions{}.learner;
+    options.seed = deriveTaskSeed(infer::InferenceOptions{}.seed, 0);
+    learn::LStarLearner learner(teacher, options);
+    LearnCost cost;
+    timedRun(learner, cost);
+    cost.accesses = teacher.accessesUsed();
+    json.row(jsonRow("machine", "dip@2", "concrete", cost));
+
+    TextTable table({"target", "outcome", "states", "words",
+                     "eq words", "loads", "learn s"});
+    table.addRow(
+        {"dip@2 (machine)",
+         cost.result.outcome == LearnOutcome::kLearned ? "learned"
+                                                       : "abstained",
+         std::to_string(cost.result.states),
+         std::to_string(cost.result.membershipWords),
+         std::to_string(cost.result.equivalenceWords),
+         std::to_string(cost.accesses),
+         formatDouble(cost.seconds, 3)});
     table.print(std::cout);
     std::cout << "\n";
 }
@@ -206,8 +312,15 @@ BENCHMARK(BM_LearnSlru4NoSharing)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char** argv)
 {
-    printCostTable();
-    printAbstentionTable();
+    benchjson::Writer json(
+        "learn_cost",
+        "L* learning cost per target: host seconds, membership and "
+        "equivalence words, states");
+    printCostTable(json);
+    printAbstentionTable(json);
+    printMeasuredTable(json);
+    if (const std::string path = json.write(); !path.empty())
+        std::cout << "Wrote " << path << "\n\n";
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

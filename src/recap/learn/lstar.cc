@@ -179,10 +179,16 @@ LStarLearner::processCounterexample(
         }
     }
     const auto dValue = [&](std::size_t i) -> int {
-        const Word word = spliced(accessWords[stateAfter[i]], ce, i);
-        const int known = table_.store().lookup(word);
+        // One trie walk over access · ce[i:]; the word itself is
+        // only materialized when it has to be asked.
+        const PrefixStore& store = table_.store();
+        const Word& access = accessWords[stateAfter[i]];
+        const int known = store.outcome(
+            store.walk(store.find(access), ce.data() + i,
+                       ce.data() + m));
         if (known >= 0)
             return known;
+        const Word word = spliced(access, ce, i);
         if (!ask({word}))
             return -1;
         return table_.store().lookup(word);
@@ -248,24 +254,31 @@ LStarLearner::findCounterexample(const MealyMachine& hypothesis,
     const MealyMachine::Walker walker(hypothesis);
 
     // Given a batch of asked words, return the shortest prefix of
-    // any of them where store and hypothesis disagree.
-    std::vector<bool> predicted;
+    // any of them where store and hypothesis disagree. Each word is
+    // one walk down the trie with the hypothesis stepped alongside.
+    const PrefixStore& store = table_.store();
     const auto scan =
         [&](const std::vector<Word>& words) -> std::optional<Word> {
         std::optional<Word> best;
         for (const Word& word : words) {
-            walker.run(word, predicted);
-            Word prefix;
-            for (std::size_t i = 0; i < word.size(); ++i) {
-                prefix.push_back(word[i]);
-                if (best && prefix.size() >= best->size())
-                    break;
-                const int actual = table_.store().lookup(prefix);
-                ensure(actual >= 0, "equivalence word not recorded");
-                if (actual != static_cast<int>(predicted[i])) {
-                    best = prefix;
+            const std::size_t limit =
+                best ? std::min(word.size(), best->size() - 1)
+                     : word.size();
+            PrefixStore::Node node = PrefixStore::kRoot;
+            uint32_t state = 0;
+            for (std::size_t i = 0; i < limit; ++i) {
+                node = store.child(node, word[i]);
+                const int actual = store.outcome(node);
+                if (actual < 0)
+                    ensure(false, "equivalence word not recorded");
+                if (actual != static_cast<int>(
+                                  walker.output(state, word[i]))) {
+                    best = Word(word.begin(),
+                                word.begin() +
+                                    static_cast<std::ptrdiff_t>(i) + 1);
                     break;
                 }
+                state = walker.next(state, word[i]);
             }
         }
         return best;
@@ -374,8 +387,9 @@ LStarLearner::findCounterexample(const MealyMachine& hypothesis,
         return std::nullopt;
     std::optional<Word> best;
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const int actual = table_.store().lookup(suite[i]);
-        ensure(actual >= 0, "W-method word not recorded");
+        const int actual = store.lookup(suite[i]);
+        if (actual < 0)
+            ensure(false, "W-method word not recorded");
         if (actual != suitePredicted[i] &&
             (!best || suite[i].size() < best->size())) {
             best = suite[i];

@@ -96,6 +96,18 @@ class MealyMachine
               alphabet_(machine.alphabet_)
         {}
 
+        /** Successor of @p state on @p symbol. */
+        uint32_t next(uint32_t state, Symbol symbol) const
+        {
+            return next_[std::size_t{state} * alphabet_ + symbol];
+        }
+
+        /** Output of @p symbol taken in @p state. */
+        bool output(uint32_t state, Symbol symbol) const
+        {
+            return (*output_)[std::size_t{state} * alphabet_ + symbol];
+        }
+
         /** Output of the last symbol of @p word (non-empty). */
         bool lastOutput(const Word& word) const
         {
@@ -105,20 +117,6 @@ class MealyMachine
                               word[i]];
             return (*output_)[std::size_t{state} * alphabet_ +
                               word.back()];
-        }
-
-        /** Per-symbol outputs of @p word, into a reused buffer. */
-        void run(const Word& word, std::vector<bool>& outputs) const
-        {
-            outputs.clear();
-            outputs.reserve(word.size());
-            uint32_t state = 0;
-            for (Symbol symbol : word) {
-                const std::size_t i =
-                    std::size_t{state} * alphabet_ + symbol;
-                outputs.push_back((*output_)[i]);
-                state = next_[i];
-            }
         }
 
       private:

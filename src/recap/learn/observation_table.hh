@@ -11,7 +11,10 @@
  * The table is backed by a PrefixStore of *whole-word* outcomes:
  * because every membership query observes every position, one
  * answered word fills the cells of all its prefixes at once, and the
- * same store doubles as the teacher-consistency ledger. S stays
+ * same store doubles as the teacher-consistency ledger. Rows are
+ * addressed by their node in the store's evidence trie: a cell read
+ * walks the suffix down from the row's node, and only the missing
+ * cells are ever materialized as words. S stays
  * prefix-closed and its rows pairwise distinct (the Rivest–Schapire
  * discipline), which keeps the table consistent by construction;
  * isConsistent() still verifies it for the invariant tests.
@@ -25,6 +28,8 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "recap/learn/mealy.hh"
@@ -107,33 +112,53 @@ class ObservationTable
     buildHypothesis(std::vector<Word>* accessWords = nullptr) const;
 
   private:
+    using Node = PrefixStore::Node;
+
     /**
-     * Incrementally maintained row: the key accumulates cell outputs
-     * suffix by suffix (cells are immutable once recorded, and E only
-     * grows, so nothing ever invalidates).
+     * One row of S ∪ S·A, addressed by its trie node. The key
+     * accumulates cell outputs suffix by suffix (cells are immutable
+     * once recorded, and E only grows, so nothing ever invalidates).
      */
-    struct RowCache
+    struct Row
     {
+        Node node = PrefixStore::kRoot;
+        bool isShort = false;
         std::string key;
         std::size_t suffixesDone = 0;
     };
 
+    struct WordHash
+    {
+        std::size_t operator()(const Word& word) const;
+    };
+
     /**
-     * Advances @p row's cache over newly answerable suffixes; when
+     * Advances @p row's key over newly answerable suffixes; when
      * @p missing is non-null, unanswerable cell words are appended
      * there. Returns true iff the row is complete.
      */
-    bool refreshRow(const Word& row, RowCache& cache,
-                    std::vector<Word>* missing) const;
+    bool refreshRow(Row& row, std::vector<Word>* missing) const;
 
-    /** Complete row key of @p row (requires all cells recorded). */
-    const std::string& cachedRowKey(const Word& row) const;
+    /** Complete key of row @p row (requires all cells recorded). */
+    const std::string& completeKey(uint32_t row) const;
+
+    /** The row addressed by @p node, created if new. */
+    uint32_t rowFor(Node node);
+
+    /** Appends @p u (row @p row) to S along with its S·A rows. */
+    void addShort(const Word& u, uint32_t row);
 
     unsigned alphabet_;
-    std::vector<Word> prefixes_;
-    std::vector<Word> suffixes_;
     PrefixStore store_;
-    mutable std::map<Word, RowCache> rowCache_;
+    std::vector<Word> prefixes_;
+    /** Row of each S prefix, in S order. */
+    std::vector<uint32_t> shortRows_;
+    /** Row of S prefix i extended by a, at [i * alphabet_ + a]. */
+    std::vector<uint32_t> extensionRows_;
+    std::vector<Word> suffixes_;
+    std::unordered_set<Word, WordHash> suffixSet_;
+    std::unordered_map<Node, uint32_t> rowOfNode_;
+    mutable std::vector<Row> rows_;
 };
 
 } // namespace recap::learn

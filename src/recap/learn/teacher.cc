@@ -1,5 +1,7 @@
 #include "recap/learn/teacher.hh"
 
+#include <algorithm>
+
 #include "recap/common/error.hh"
 
 namespace recap::learn
@@ -74,19 +76,46 @@ OracleTeacher::answer(const std::vector<Word>& words)
     return answers;
 }
 
+PrefixStore::PrefixStore(unsigned alphabet)
+    : alphabet_(alphabet), children_(alphabet, kNone), outcomes_{-1},
+      parents_{kNone}
+{
+    require(alphabet >= 1, "PrefixStore: empty alphabet");
+}
+
+PrefixStore::Node
+PrefixStore::extend(Node node, Symbol symbol)
+{
+    if (symbol >= alphabet_)
+        require(false, "PrefixStore: symbol outside the alphabet");
+    const std::size_t slot = std::size_t{node} * alphabet_ + symbol;
+    if (children_[slot] != kNone)
+        return children_[slot];
+    if (outcomes_.size() >= kNone)
+        ensure(false, "PrefixStore: trie node space exhausted");
+    const auto created = static_cast<Node>(outcomes_.size());
+    children_[slot] = created;
+    children_.resize(children_.size() + alphabet_, kNone);
+    outcomes_.push_back(-1);
+    parents_.push_back(node);
+    return created;
+}
+
 PrefixStore::Recording
 PrefixStore::record(const Word& word, const std::vector<bool>& outputs)
 {
     require(word.size() == outputs.size(),
             "PrefixStore::record: length mismatch");
     Recording recording;
-    Word prefix;
-    prefix.reserve(word.size());
+    Node node = kRoot;
     for (std::size_t i = 0; i < word.size(); ++i) {
-        prefix.push_back(word[i]);
-        const auto [it, inserted] =
-            outcomes_.try_emplace(prefix, outputs[i]);
-        if (!inserted && it->second != outputs[i]) {
+        node = extend(node, word[i]);
+        const int8_t observed = outputs[i] ? 1 : 0;
+        int8_t& known = outcomes_[node];
+        if (known < 0) {
+            known = observed;
+            ++recorded_;
+        } else if (known != observed) {
             recording.consistent = false;
             recording.conflictAt = i + 1;
             return recording;
@@ -95,36 +124,77 @@ PrefixStore::record(const Word& word, const std::vector<bool>& outputs)
     return recording;
 }
 
-int
-PrefixStore::lookup(const Word& word) const
+Word
+PrefixStore::wordOf(Node node) const
 {
-    const auto it = outcomes_.find(word);
-    if (it == outcomes_.end())
-        return -1;
-    return it->second ? 1 : 0;
+    Word word;
+    while (node != kRoot) {
+        const Node parent = parents_[node];
+        const Node* slots = &children_[std::size_t{parent} * alphabet_];
+        word.push_back(static_cast<Symbol>(
+            std::find(slots, slots + alphabet_, node) - slots));
+        node = parent;
+    }
+    std::reverse(word.begin(), word.end());
+    return word;
+}
+
+template <typename OnMismatch>
+void
+PrefixStore::mismatchScan(const MealyMachine& machine,
+                          OnMismatch mismatch) const
+{
+    require(machine.alphabet() == alphabet_,
+            "PrefixStore: machine alphabet mismatch");
+    // Level by level, parents in shortlex order and children in
+    // ascending symbol order: every level comes out in shortlex
+    // order, so the first mismatch met is the shortest, then
+    // lexicographically smallest one.
+    const MealyMachine::Walker walker(machine);
+    std::vector<std::pair<Node, uint32_t>> level{{kRoot, 0}};
+    std::vector<std::pair<Node, uint32_t>> nextLevel;
+    while (!level.empty()) {
+        nextLevel.clear();
+        for (const auto& [node, state] : level) {
+            const Node* slots =
+                &children_[std::size_t{node} * alphabet_];
+            for (Symbol a = 0; a < alphabet_; ++a) {
+                const Node next = slots[a];
+                if (next == kNone)
+                    continue;
+                const int8_t known = outcomes_[next];
+                if (known >= 0 &&
+                    walker.output(state, a) != (known != 0) &&
+                    !mismatch(next)) {
+                    return;
+                }
+                nextLevel.emplace_back(next, walker.next(state, a));
+            }
+        }
+        level.swap(nextLevel);
+    }
 }
 
 uint64_t
 PrefixStore::countMismatches(const MealyMachine& machine) const
 {
     uint64_t mismatches = 0;
-    for (const auto& [word, outcome] : outcomes_)
-        if (machine.lastOutput(word) != outcome)
-            ++mismatches;
+    mismatchScan(machine, [&](Node) {
+        ++mismatches;
+        return true;
+    });
     return mismatches;
 }
 
 std::optional<Word>
 PrefixStore::firstMismatch(const MealyMachine& machine) const
 {
-    std::optional<Word> best;
-    for (const auto& [word, outcome] : outcomes_) {
-        if (best && word.size() >= best->size())
-            continue;
-        if (machine.lastOutput(word) != outcome)
-            best = word;
-    }
-    return best;
+    std::optional<Word> first;
+    mismatchScan(machine, [&](Node node) {
+        first = wordOf(node);
+        return false;
+    });
+    return first;
 }
 
 } // namespace recap::learn

@@ -16,17 +16,17 @@
  * instead of learning from noise.
  *
  * PrefixStore is the teacher-consistency ledger: every answered word
- * contributes the outcome of each of its prefixes, and a later
- * answer that contradicts a recorded prefix exposes a garbled
- * (fault-injected) teacher. The learner turns such conflicts into
- * LearnOutcome::kAbstained rather than a wrong automaton.
+ * contributes the outcome of each of its prefixes (one walk down an
+ * evidence trie), and a later answer that contradicts a recorded
+ * prefix exposes a garbled (fault-injected) teacher. The learner
+ * turns such conflicts into LearnOutcome::kAbstained rather than a
+ * wrong automaton.
  */
 
 #ifndef RECAP_LEARN_TEACHER_HH_
 #define RECAP_LEARN_TEACHER_HH_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -115,14 +115,28 @@ class OracleTeacher : public Teacher
 };
 
 /**
- * Prefix-consistency ledger over answered words. Deterministic
- * teachers answer every prefix identically wherever it occurs;
- * record() reports a conflict (without overwriting the first
- * recording) when they don't.
+ * Prefix-consistency ledger over answered words, kept as an evidence
+ * trie: node n stands for one word (the root for ε), children are
+ * dense per-symbol slots over the learner alphabet, and each node
+ * carries the recorded outcome of its word's last symbol (or none).
+ *
+ * Deterministic teachers answer every prefix identically wherever it
+ * occurs; record() reports a conflict (without overwriting the first
+ * recording) when they don't. Nodes may also exist without an
+ * outcome: the observation table addresses its rows by node before
+ * their cells are answered.
  */
 class PrefixStore
 {
   public:
+    /** Trie node handle; kRoot is ε. */
+    using Node = uint32_t;
+
+    static constexpr Node kRoot = 0;
+
+    /** "No such node" (a walk fell off the trie). */
+    static constexpr Node kNone = UINT32_MAX;
+
     /** Result of recording one answered word. */
     struct Recording
     {
@@ -133,6 +147,9 @@ class PrefixStore
         std::size_t conflictAt = 0;
     };
 
+    /** @param alphabet Learner alphabet size (>= 1). */
+    explicit PrefixStore(unsigned alphabet);
+
     /** Records the per-prefix outcomes of one answered word. */
     Recording record(const Word& word,
                      const std::vector<bool>& outputs);
@@ -141,28 +158,85 @@ class PrefixStore
      * Looks up the recorded outcome of the last symbol of @p word;
      * returns -1 when unknown, else 0/1.
      */
-    int lookup(const Word& word) const;
+    int lookup(const Word& word) const
+    {
+        return outcome(walk(kRoot, word.data(),
+                            word.data() + word.size()));
+    }
 
     /** Number of distinct recorded prefixes. */
-    std::size_t size() const { return outcomes_.size(); }
+    std::size_t size() const { return recorded_; }
+
+    /** Child of @p node on @p symbol, or kNone. */
+    Node child(Node node, Symbol symbol) const
+    {
+        return symbol < alphabet_
+                   ? children_[std::size_t{node} * alphabet_ + symbol]
+                   : kNone;
+    }
 
     /**
-     * Checks @p machine against every recorded prefix outcome;
-     * returns the number of disagreements (0 = the hypothesis
-     * explains all evidence seen so far).
+     * Node reached from @p from (kNone allowed) along
+     * [@p first, @p last), or kNone when the trie has no such word.
+     */
+    Node walk(Node from, const Symbol* first, const Symbol* last) const
+    {
+        for (; first != last && from != kNone; ++first)
+            from = child(from, *first);
+        return from;
+    }
+
+    /** Node of @p word, or kNone. */
+    Node find(const Word& word) const
+    {
+        return walk(kRoot, word.data(), word.data() + word.size());
+    }
+
+    /** Child of @p node on @p symbol, created (unrecorded) if new. */
+    Node extend(Node node, Symbol symbol);
+
+    /** Recorded outcome of @p node: -1 unknown (or kNone), else 0/1. */
+    int outcome(Node node) const
+    {
+        return node == kNone ? -1 : outcomes_[node];
+    }
+
+    /** The word @p node stands for. */
+    Word wordOf(Node node) const;
+
+    /**
+     * Checks @p machine (same alphabet) against every recorded
+     * prefix outcome; returns the number of disagreements (0 = the
+     * hypothesis explains all evidence seen so far).
      */
     uint64_t countMismatches(const MealyMachine& machine) const;
 
     /**
      * The first (shortest, then lexicographically smallest) recorded
-     * word whose outcome @p machine mispredicts, if any — a free
-     * counterexample before any new query is spent.
+     * word whose outcome @p machine (same alphabet) mispredicts, if
+     * any — a free counterexample before any new query is spent.
      */
     std::optional<Word>
     firstMismatch(const MealyMachine& machine) const;
 
   private:
-    std::map<Word, bool> outcomes_;
+    /**
+     * Breadth-first walk in shortlex order, stepping @p machine
+     * alongside; calls @p mismatch(node) for every recorded node the
+     * machine mispredicts and stops when it returns false.
+     */
+    template <typename OnMismatch>
+    void mismatchScan(const MealyMachine& machine,
+                      OnMismatch mismatch) const;
+
+    unsigned alphabet_;
+    /** children_[node * alphabet_ + symbol], kNone when absent. */
+    std::vector<Node> children_;
+    /** Per-node outcome: -1 unknown, else 0/1. */
+    std::vector<int8_t> outcomes_;
+    /** Per-node parent (kNone for the root). */
+    std::vector<Node> parents_;
+    std::size_t recorded_ = 0;
 };
 
 } // namespace recap::learn

@@ -9,7 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "recap/common/parallel.hh"
 #include "recap/common/rng.hh"
+#include "recap/hw/machine.hh"
+#include "recap/infer/geometry_probe.hh"
+#include "recap/infer/measurement.hh"
+#include "recap/infer/pipeline.hh"
 #include "recap/learn/learned_policy.hh"
 #include "recap/learn/lstar.hh"
 #include "recap/learn/teacher.hh"
@@ -150,6 +155,89 @@ TEST(Learn, RecencyRolesLearnLruCompactly)
             ways, result.machine, SymbolSemantics::kRecencyRoles);
         EXPECT_EQ(lockstepMismatches(model, "lru", ways, 10000), 0u);
     }
+}
+
+/** The cost of one learning run, every count pinned exactly. */
+struct CostPin
+{
+    unsigned states;
+    uint64_t membershipWords;
+    uint64_t equivalenceWords;
+    uint64_t accessesUsed;
+    uint64_t experimentsUsed;
+};
+
+void
+expectPinned(const LearnResult& result, const CostPin& pin,
+             const std::string& what)
+{
+    ASSERT_EQ(result.outcome, LearnOutcome::kLearned)
+        << what << ": " << result.diagnostics;
+    EXPECT_EQ(result.states, pin.states) << what;
+    EXPECT_EQ(result.membershipWords, pin.membershipWords) << what;
+    EXPECT_EQ(result.equivalenceWords, pin.equivalenceWords) << what;
+    EXPECT_EQ(result.accessesUsed, pin.accessesUsed) << what;
+    EXPECT_EQ(result.experimentsUsed, pin.experimentsUsed) << what;
+}
+
+TEST(Learn, PolicyOracleCostsArePinned)
+{
+    // Word order, batch contents and evidence semantics all feed
+    // these counts (accesses and experiments depend on how batches
+    // share prefixes), so any change to them shows up here.
+    struct Case
+    {
+        const char* spec;
+        unsigned ways;
+        SymbolSemantics semantics;
+        CostPin pin;
+    };
+    const Case cases[] = {
+        {"lru", 2, SymbolSemantics::kConcreteBlocks,
+         {10, 1562, 1216, 2261, 894}},
+        {"lru", 3, SymbolSemantics::kConcreteBlocks,
+         {41, 16591, 14606, 17874, 9214}},
+        {"lru", 8, SymbolSemantics::kRecencyRoles,
+         {9, 9094, 8356, 5654, 2640}},
+        {"bip:4", 2, SymbolSemantics::kConcreteBlocks,
+         {28, 14527, 8768, 17243, 6149}},
+    };
+    for (const Case& c : cases) {
+        LearnOptions options;
+        options.semantics = c.semantics;
+        expectPinned(learnPolicy(c.spec, c.ways, options), c.pin,
+                     std::string(c.spec) + "@" +
+                         std::to_string(c.ways));
+    }
+}
+
+TEST(Learn, HiddenDipMachineOracleCostsArePinned)
+{
+    // The pipeline's learning escalation on a hidden dip@2 level:
+    // measured answers through the machine backend, the pipeline's
+    // learner budgets and its level-0 seed.
+    hw::MachineSpec spec;
+    spec.name = "rig-dip";
+    spec.description = "hidden dip rig";
+    hw::CacheLevelSpec level;
+    level.name = "L1";
+    level.capacityBytes = uint64_t{64} * 64 * 2;
+    level.ways = 2;
+    level.hitLatency = 4;
+    level.policySpec = "dip";
+    spec.levels = {level};
+    spec.memoryLatency = 100;
+
+    hw::Machine machine(spec);
+    infer::MeasurementContext ctx(machine);
+    query::MachineOracle oracle(ctx, infer::assumedGeometry(spec), 0);
+    learn::OracleTeacher teacher(oracle);
+    LearnOptions options = infer::PolicyLearningOptions{}.learner;
+    options.seed = deriveTaskSeed(infer::InferenceOptions{}.seed, 0);
+    LStarLearner learner(teacher, options);
+    const auto result = learner.run();
+    expectPinned(result, {178, 189723, 128, 723462, 51328}, "dip@2");
+    EXPECT_EQ(ctx.loadsIssued(), 723462u);
 }
 
 TEST(Learn, ConcreteEightWaysAbstainsOnStateBudget)
