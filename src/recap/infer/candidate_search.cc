@@ -1,7 +1,6 @@
 #include "recap/infer/candidate_search.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
@@ -11,7 +10,6 @@
 #include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
 #include "recap/policy/qlru.hh"
-#include "recap/policy/set_model.hh"
 #include "recap/query/oracle.hh"
 
 namespace recap::infer
@@ -51,9 +49,7 @@ CandidateSearch::run()
     // Query-layer view of the prober: every probe sequence runs as an
     // observe-all membership query, so its cost lands in the same
     // accounting funnel as the other inference techniques.
-    std::optional<query::MachineOracle> oracle;
-    if (cfg_.useQueryLayer)
-        oracle.emplace(prober_, query::ObservationMode::kCounter);
+    query::MachineOracle oracle(prober_, query::ObservationMode::kCounter);
 
     const bool robust = prober_.config().vote.enabled;
     double minConfidence = 1.0;
@@ -66,19 +62,8 @@ CandidateSearch::run()
     };
     auto observe = [&](const std::vector<BlockId>& seq) {
         Observation obs;
-        if (!oracle) {
-            const SetProber::ObservedSequence raw =
-                prober_.observeRobust(seq);
-            obs.hits = raw.hits;
-            obs.determined = raw.determined;
-            for (size_t j = 0; j < seq.size(); ++j)
-                if (raw.determined[j])
-                    minConfidence =
-                        std::min(minConfidence, raw.confidence[j]);
-            return obs;
-        }
         const auto verdict =
-            oracle->evaluate(query::makeObserveAllQuery(seq));
+            oracle.evaluate(query::makeObserveAllQuery(seq));
         obs.hits.reserve(verdict.probes.size());
         obs.determined.reserve(verdict.probes.size());
         for (const auto& probe : verdict.probes) {
@@ -115,60 +100,32 @@ CandidateSearch::run()
     for (const auto& spec : specs_) {
         if (!policy::specSupportsWays(spec, k))
             continue;
-        policy::CompiledTablePtr table;
-        if (cfg_.useLaneKernel)
-            table = policy::compiledTableFor(spec, k);
-        alive.push_back(
-            {spec, policy::makePolicy(spec, k), std::move(table)});
+        alive.push_back({spec, policy::makePolicy(spec, k),
+                         policy::compiledTableFor(spec, k)});
     }
 
     CandidateSearchResult result;
     Rng rng(cfg_.seed);
 
     // Simulating every surviving candidate against one observation is
-    // the elimination inner loop. The lane path packs the compiled
-    // survivors into lockstep groups sharded across the pool
-    // (eval::matchObservationMultiPolicy); the legacy path fans out
-    // one SetModel replay per candidate. Candidate i only decides
-    // match[i] either way, and the in-order filter afterwards keeps
-    // the survivor order identical for any thread count or path.
+    // the elimination inner loop: the survivors step as lockstep lane
+    // groups sharded across the pool, and a disagreement at an
+    // undetermined position never eliminates. Candidate i only
+    // decides match[i], and the in-order filter afterwards keeps the
+    // survivor order identical for any thread count.
     const unsigned threads = resolveThreads(cfg_.numThreads);
     std::vector<eval::SetLane> laneScratch;
     auto eliminate = [&](std::vector<Candidate>& candidates,
                          const std::vector<BlockId>& seq,
                          const Observation& observed) {
-        std::vector<char> match;
-        if (cfg_.useLaneKernel) {
-            laneScratch.clear();
-            laneScratch.reserve(candidates.size());
-            for (const Candidate& cand : candidates)
-                laneScratch.push_back(
-                    {cand.table, cand.prototype.get()});
-            match = eval::matchObservationMultiPolicy(
+        laneScratch.clear();
+        laneScratch.reserve(candidates.size());
+        for (const Candidate& cand : candidates)
+            laneScratch.push_back({cand.table, cand.prototype.get()});
+        const std::vector<char> match =
+            eval::matchObservationMultiPolicy(
                 k, laneScratch, seq, observed.hits,
                 observed.determined, threads);
-        } else {
-            match.assign(candidates.size(), 0);
-            parallelFor(
-                candidates.size(), threads, [&](std::size_t i) {
-                    policy::SetModel model(
-                        candidates[i].prototype->clone());
-                    model.flush();
-                    bool ok = true;
-                    for (std::size_t j = 0; j < seq.size(); ++j) {
-                        // Undetermined positions carry no evidence:
-                        // the model still advances, but a
-                        // disagreement there never eliminates.
-                        const bool hit = model.access(seq[j]);
-                        if (observed.determined[j] &&
-                            hit != observed.hits[j]) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    match[i] = ok ? 1 : 0;
-                });
-        }
         std::vector<Candidate> next;
         for (std::size_t i = 0; i < candidates.size(); ++i)
             if (match[i])
@@ -337,8 +294,9 @@ CandidateSearch::run()
                 "inconsistent with the whole library (noise or an "
                 "unmodelled policy)";
         } else if (result.decided) {
-            // Confirmation replays: the survivor must also predict
-            // fresh sequences it was never selected on.
+            // Confirmation replays: the representative survivor must
+            // also predict fresh sequences it was never selected on.
+            alive.resize(1);
             Rng confirmRng(cfg_.seed ^ 0x5afe5eedULL);
             for (unsigned round = 0;
                  round < cfg_.confirmRounds && !result.undetermined;
@@ -359,20 +317,13 @@ CandidateSearch::run()
                         "confirmation replay had no quorum";
                     break;
                 }
-                policy::SetModel model(
-                    alive.front().prototype->clone());
-                model.flush();
-                for (size_t j = 0; j < seq.size(); ++j) {
-                    const bool hit = model.access(seq[j]);
-                    if (observed.determined[j] &&
-                        hit != observed.hits[j]) {
-                        result.undetermined = true;
-                        result.decided = false;
-                        result.diagnostics =
-                            "confirmation replay contradicted the "
-                            "surviving candidate";
-                        break;
-                    }
+                alive = eliminate(alive, seq, observed);
+                if (alive.empty()) {
+                    result.undetermined = true;
+                    result.decided = false;
+                    result.diagnostics =
+                        "confirmation replay contradicted the "
+                        "surviving candidate";
                 }
             }
         }

@@ -9,6 +9,13 @@
  * behaviour on probe sequences, eliminating every candidate that
  * disagrees, until (ideally) one behavioural equivalence class
  * remains.
+ *
+ * Every probe sequence is an observe-all membership query through
+ * query::MachineOracle. Elimination runs on the multi-policy lockstep
+ * kernel (eval::matchObservationMultiPolicy): the surviving compiled
+ * automatons step in lane groups over one shared decode of the
+ * observation, with interpreted SetModel lanes for candidates beyond
+ * the compile budget.
  */
 
 #ifndef RECAP_INFER_CANDIDATE_SEARCH_HH_
@@ -67,26 +74,6 @@ struct CandidateSearchConfig
      * ablation baseline.
      */
     bool targetedPhase = true;
-
-    /**
-     * Issue every observation through the query layer (a borrowing
-     * query::MachineOracle), so measurement cost is accounted
-     * centrally alongside the other inference techniques. Verdicts
-     * are unchanged — the differential tests assert it. false = the
-     * pre-query-layer direct SetProber path.
-     */
-    bool useQueryLayer = true;
-
-    /**
-     * Run candidate elimination on the multi-policy lockstep kernel
-     * (eval::matchObservationMultiPolicy): every surviving compiled
-     * automaton steps in lane groups over one shared decode of the
-     * observation, with interpreted SetModel lanes for candidates
-     * beyond the compile budget. false = the legacy per-candidate
-     * SetModel fan-out, kept as the differential baseline — verdicts
-     * are bit-identical either way (pinned by tests).
-     */
-    bool useLaneKernel = true;
 
     /**
      * With adaptive voting enabled on the prober: extra fresh probe

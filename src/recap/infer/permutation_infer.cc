@@ -7,7 +7,6 @@
 #include "recap/common/error.hh"
 #include "recap/common/rng.hh"
 #include "recap/policy/set_model.hh"
-#include "recap/query/oracle.hh"
 
 namespace recap::infer
 {
@@ -74,7 +73,8 @@ invertColdFills(const std::vector<policy::Way>& post,
 
 PermutationInference::PermutationInference(
     SetProber& prober, const PermutationInferenceConfig& cfg)
-    : prober_(prober), cfg_(cfg)
+    : prober_(prober), cfg_(cfg),
+      oracle_(prober, query::ObservationMode::kCounter)
 {}
 
 void
@@ -103,17 +103,7 @@ PermutationInference::run()
     const uint64_t experiments_before =
         prober_.context().experimentsRun();
 
-    // Query-layer view of the prober for this run: survival probes
-    // and validation rounds are expressed as query batches, so the
-    // measurement cost flows through one accounting funnel.
-    std::optional<query::MachineOracle> oracle;
-    if (cfg_.useQueryLayer) {
-        oracle.emplace(prober_, query::ObservationMode::kCounter);
-        oracle_ = &*oracle;
-    }
-
     auto finish = [&](PermutationInferenceResult r) {
-        oracle_ = nullptr;
         r.confidence = minConfidence_;
         if (!r.isPermutation && sawUndetermined_) {
             // Some probe never reached a quorum: the machine was too
@@ -305,13 +295,6 @@ PermutationInference::evictionOrderAfter(
             seq.push_back(kFreshBase + f);
         return seq;
     };
-    auto survives_m = [&](BlockId block, unsigned m) {
-        const VoteOutcome vote =
-            prober_.survivesVote(seqFor(m), block);
-        noteVote(vote.confidence, vote.determined(),
-                 "survival probe without a quorum");
-        return vote.value();
-    };
 
     // positionOf[b]: the largest number of fresh misses b survives.
     // Survival is monotone in m for permutation policies, so the
@@ -319,131 +302,100 @@ PermutationInference::evictionOrderAfter(
     // yield garbage positions that the consistency checks below (or
     // the final cross-validation) refute.
     std::vector<int> position(candidates.size(), -1);
-    if (!cfg_.useQueryLayer) {
-        // Direct path: one candidate at a time against the prober.
-        for (size_t c = 0; c < candidates.size(); ++c) {
-            if (!survives_m(candidates[c], 0))
-                continue; // evicted by the prefix itself
-            if (!cfg_.binarySearchSurvival) {
-                // Naive upward scan (ablation baseline).
-                for (unsigned m = 0; m <= k; ++m) {
-                    if (!survives_m(candidates[c], m))
-                        break;
-                    position[c] = static_cast<int>(m);
-                }
-                continue;
-            }
-            if (survives_m(candidates[c], k)) {
-                position[c] = static_cast<int>(k); // inconsistent
-                continue;
-            }
-            unsigned lo = 0; // survives
-            unsigned hi = k; // does not survive
-            while (hi - lo > 1) {
-                const unsigned mid = lo + (hi - lo) / 2;
-                if (survives_m(candidates[c], mid))
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            position[c] = static_cast<int>(lo);
+    // All candidates advance in lockstep and each round's probes
+    // evaluate as one batch of (candidate index, fresh-miss count)
+    // survival queries.
+    using Probe = std::pair<size_t, unsigned>;
+    auto surviveBatch = [&](const std::vector<Probe>& probes) {
+        std::vector<query::CompiledQuery> queries;
+        queries.reserve(probes.size());
+        for (const auto& [c, m] : probes)
+            queries.push_back(query::makeSurvivalQuery(
+                seqFor(m), candidates[c]));
+        const auto verdicts = oracle_.evaluateBatch(queries);
+        std::vector<bool> out(probes.size());
+        for (size_t i = 0; i < probes.size(); ++i) {
+            const query::ProbeOutcome& probe =
+                verdicts[i].probes.front();
+            noteVote(probe.confidence, probe.determined,
+                     "survival probe without a quorum");
+            out[i] = probe.hit;
         }
-    } else {
-        // Query path: the same probes, but all candidates advance in
-        // lockstep and each round's probes evaluate as one batch.
-        // (candidate index, fresh-miss count) pairs per round.
-        using Probe = std::pair<size_t, unsigned>;
-        auto surviveBatch = [&](const std::vector<Probe>& probes) {
-            std::vector<query::CompiledQuery> queries;
-            queries.reserve(probes.size());
-            for (const auto& [c, m] : probes)
-                queries.push_back(query::makeSurvivalQuery(
-                    seqFor(m), candidates[c]));
-            const auto verdicts = oracle_->evaluateBatch(queries);
-            std::vector<bool> out(probes.size());
-            for (size_t i = 0; i < probes.size(); ++i) {
-                const query::ProbeOutcome& probe =
-                    verdicts[i].probes.front();
-                noteVote(probe.confidence, probe.determined,
-                         "survival probe without a quorum");
-                out[i] = probe.hit;
-            }
-            return out;
-        };
+        return out;
+    };
 
-        // Screening round: which candidates does the prefix itself
-        // leave resident?
-        std::vector<Probe> round;
-        for (size_t c = 0; c < candidates.size(); ++c)
-            round.push_back({c, 0});
-        std::vector<bool> res = surviveBatch(round);
-        std::vector<size_t> active;
-        for (size_t c = 0; c < candidates.size(); ++c) {
-            if (res[c]) {
-                active.push_back(c);
-                position[c] = 0;
-            }
+    // Screening round: which candidates does the prefix itself
+    // leave resident?
+    std::vector<Probe> round;
+    for (size_t c = 0; c < candidates.size(); ++c)
+        round.push_back({c, 0});
+    std::vector<bool> res = surviveBatch(round);
+    std::vector<size_t> active;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+        if (res[c]) {
+            active.push_back(c);
+            position[c] = 0;
         }
+    }
 
-        if (!cfg_.binarySearchSurvival) {
-            // Lockstep upward scan (ablation baseline).
-            for (unsigned m = 1; m <= k && !active.empty(); ++m) {
-                round.clear();
-                for (size_t c : active)
-                    round.push_back({c, m});
-                res = surviveBatch(round);
-                std::vector<size_t> still;
-                for (size_t i = 0; i < active.size(); ++i) {
-                    if (res[i]) {
-                        position[active[i]] = static_cast<int>(m);
-                        still.push_back(active[i]);
-                    }
-                }
-                active = std::move(still);
-            }
-        } else if (!active.empty()) {
-            // Upper probe at m = k, then lockstep binary search on
-            // the open [lo survives, hi fails) intervals.
+    if (!cfg_.binarySearchSurvival) {
+        // Lockstep upward scan (ablation baseline).
+        for (unsigned m = 1; m <= k && !active.empty(); ++m) {
             round.clear();
             for (size_t c : active)
-                round.push_back({c, k});
+                round.push_back({c, m});
             res = surviveBatch(round);
-            struct Range
-            {
-                size_t c;
-                unsigned lo, hi;
-            };
-            std::vector<Range> open;
+            std::vector<size_t> still;
             for (size_t i = 0; i < active.size(); ++i) {
-                if (res[i])
-                    position[active[i]] =
-                        static_cast<int>(k); // inconsistent
-                else
-                    open.push_back({active[i], 0, k});
-            }
-            for (;;) {
-                round.clear();
-                for (const Range& r : open)
-                    if (r.hi - r.lo > 1)
-                        round.push_back(
-                            {r.c, r.lo + (r.hi - r.lo) / 2});
-                if (round.empty())
-                    break;
-                res = surviveBatch(round);
-                size_t i = 0;
-                for (Range& r : open) {
-                    if (r.hi - r.lo <= 1)
-                        continue;
-                    const unsigned mid = r.lo + (r.hi - r.lo) / 2;
-                    if (res[i++])
-                        r.lo = mid;
-                    else
-                        r.hi = mid;
+                if (res[i]) {
+                    position[active[i]] = static_cast<int>(m);
+                    still.push_back(active[i]);
                 }
             }
-            for (const Range& r : open)
-                position[r.c] = static_cast<int>(r.lo);
+            active = std::move(still);
         }
+    } else if (!active.empty()) {
+        // Upper probe at m = k, then lockstep binary search on
+        // the open [lo survives, hi fails) intervals.
+        round.clear();
+        for (size_t c : active)
+            round.push_back({c, k});
+        res = surviveBatch(round);
+        struct Range
+        {
+            size_t c;
+            unsigned lo, hi;
+        };
+        std::vector<Range> open;
+        for (size_t i = 0; i < active.size(); ++i) {
+            if (res[i])
+                position[active[i]] =
+                    static_cast<int>(k); // inconsistent
+            else
+                open.push_back({active[i], 0, k});
+        }
+        for (;;) {
+            round.clear();
+            for (const Range& r : open)
+                if (r.hi - r.lo > 1)
+                    round.push_back(
+                        {r.c, r.lo + (r.hi - r.lo) / 2});
+            if (round.empty())
+                break;
+            res = surviveBatch(round);
+            size_t i = 0;
+            for (Range& r : open) {
+                if (r.hi - r.lo <= 1)
+                    continue;
+                const unsigned mid = r.lo + (r.hi - r.lo) / 2;
+                if (res[i++])
+                    r.lo = mid;
+                else
+                    r.hi = mid;
+            }
+        }
+        for (const Range& r : open)
+            position[r.c] = static_cast<int>(r.lo);
     }
 
     // Any undetermined probe poisons the whole reconstruction: a
@@ -498,46 +450,10 @@ PermutationInference::validate(
     // must not be accepted on vacuous agreement).
     uint64_t totalPositions = 0;
     uint64_t undeterminedPositions = 0;
-    auto concludeValidation = [&] {
-        if (undeterminedPositions * 2 > totalPositions) {
-            noteVote(0.0, false,
-                     "cross-validation mostly without quorums");
-            reason = "cross-validation was mostly undetermined";
-            return false;
-        }
-        return true;
-    };
 
-    if (!cfg_.useQueryLayer) {
-        // Direct path: one observation per round, stop on mismatch.
-        for (unsigned round = 0; round < cfg_.validationRounds;
-             ++round) {
-            std::vector<BlockId> seq;
-            std::vector<bool> predicted;
-            nextRound(seq, predicted);
-            const SetProber::ObservedSequence obs =
-                prober_.observeRobust(seq);
-            for (size_t j = 0; j < seq.size(); ++j) {
-                ++totalPositions;
-                if (!obs.determined[j]) {
-                    ++undeterminedPositions;
-                    continue;
-                }
-                minConfidence_ =
-                    std::min(minConfidence_, obs.confidence[j]);
-                if (obs.hits[j] != predicted[j]) {
-                    reason = "cross-validation mismatch in round " +
-                             std::to_string(round);
-                    return false;
-                }
-            }
-        }
-        return concludeValidation();
-    }
-
-    // Query path: rounds evaluate as observe-all query batches in
-    // chunks, stopping at the chunk holding the first mismatch (so a
-    // bad hypothesis still fails fast).
+    // Rounds evaluate as observe-all query batches in chunks,
+    // stopping at the chunk holding the first mismatch (so a bad
+    // hypothesis still fails fast).
     constexpr unsigned kChunk = 8;
     for (unsigned start = 0; start < cfg_.validationRounds;
          start += kChunk) {
@@ -552,7 +468,7 @@ PermutationInference::validate(
             queries.push_back(query::makeObserveAllQuery(seq));
             predictions.push_back(std::move(predicted));
         }
-        const auto verdicts = oracle_->evaluateBatch(queries);
+        const auto verdicts = oracle_.evaluateBatch(queries);
         for (unsigned round = start; round < end; ++round) {
             const auto& probes = verdicts[round - start].probes;
             const auto& predicted = predictions[round - start];
@@ -574,7 +490,12 @@ PermutationInference::validate(
             }
         }
     }
-    return concludeValidation();
+    if (undeterminedPositions * 2 > totalPositions) {
+        noteVote(0.0, false, "cross-validation mostly without quorums");
+        reason = "cross-validation was mostly undetermined";
+        return false;
+    }
+    return true;
 }
 
 } // namespace recap::infer

@@ -12,6 +12,10 @@
  * access sequences and compares the machine's hit/miss behaviour to
  * the hypothesized permutation automaton; any mismatch refutes the
  * permutation-policy hypothesis.
+ *
+ * Every probe is a membership query through query::MachineOracle:
+ * the candidates' survival searches advance in lockstep, one query
+ * batch per step, and validation rounds evaluate in chunks.
  */
 
 #ifndef RECAP_INFER_PERMUTATION_INFER_HH_
@@ -23,11 +27,7 @@
 
 #include "recap/infer/set_prober.hh"
 #include "recap/policy/permutation.hh"
-
-namespace recap::query
-{
-class MachineOracle;
-}
+#include "recap/query/oracle.hh"
 
 namespace recap::infer
 {
@@ -55,16 +55,6 @@ struct PermutationInferenceConfig
      * permutations before validation (ablation baseline).
      */
     bool earlySpotCheck = true;
-
-    /**
-     * Issue survival/validation probes through the query layer
-     * (query::MachineOracle batches: candidates are screened and
-     * binary-searched in lockstep, validation rounds evaluate in
-     * chunks). Verdicts are unchanged — the differential tests
-     * assert it — but cost is accounted centrally and batches can
-     * share work. false = the pre-query-layer direct SetProber path.
-     */
-    bool useQueryLayer = true;
 
     uint64_t seed = 2024;
 };
@@ -139,8 +129,12 @@ class PermutationInference
     SetProber& prober_;
     PermutationInferenceConfig cfg_;
 
-    /** Query-layer view of the prober; null on the direct path. */
-    query::MachineOracle* oracle_ = nullptr;
+    /**
+     * Query-layer view of the prober: every survival probe and
+     * validation round is a membership query batch, so measurement
+     * cost flows through one accounting funnel.
+     */
+    query::MachineOracle oracle_;
 
     // Per-run robustness state (reset by run()).
     bool sawUndetermined_ = false;

@@ -8,6 +8,18 @@
 namespace recap::infer
 {
 
+namespace
+{
+
+/** Replays of the fixed-N majority schedule: odd, at least one. */
+unsigned
+oddRepeats(unsigned voteRepeats)
+{
+    return voteRepeats % 2 == 0 ? voteRepeats + 1 : voteRepeats;
+}
+
+} // namespace
+
 SetProber::SetProber(MeasurementContext& ctx,
                      const DiscoveredGeometry& geom,
                      unsigned targetLevel, const SetProberConfig& cfg)
@@ -93,69 +105,13 @@ SetProber::blockAddr(BlockId block) const
     return cfg_.baseAddr + geom_.levels[targetLevel_].setStride() * block;
 }
 
-bool
-SetProber::survives(const std::vector<BlockId>& seq, BlockId probe)
-{
-    if (cfg_.vote.enabled)
-        return survivesVote(seq, probe).value();
-    return majorityVote(cfg_.voteRepeats, [&] {
-        checkpoint();
-        ctx_.beginExperiment();
-        ctx_.flush();
-        for (BlockId b : seq) {
-            evictInnerLevels();
-            ctx_.access(blockAddr(b));
-        }
-        return routedObservedAccess(probe);
-    });
-}
-
-VoteOutcome
-SetProber::survivesVote(const std::vector<BlockId>& seq, BlockId probe)
-{
-    const auto experiment = [&] {
-        checkpoint();
-        ctx_.beginExperiment();
-        ctx_.flush();
-        for (BlockId b : seq) {
-            evictInnerLevels();
-            ctx_.access(blockAddr(b));
-        }
-        return routedObservedAccess(probe);
-    };
-    if (cfg_.vote.enabled)
-        return adaptiveVote(cfg_.vote, experiment);
-
-    unsigned repeats = std::max(1u, cfg_.voteRepeats);
-    if (repeats % 2 == 0)
-        ++repeats;
-    unsigned yes = 0;
-    for (unsigned i = 0; i < repeats; ++i)
-        if (experiment())
-            ++yes;
-    VoteOutcome out;
-    out.samples = repeats;
-    out.verdict = yes * 2 > repeats ? Verdict::kYes : Verdict::kNo;
-    out.confidence = static_cast<double>(std::max(yes, repeats - yes)) /
-                     static_cast<double>(repeats);
-    return out;
-}
-
 std::vector<bool>
 SetProber::observe(const std::vector<BlockId>& seq)
 {
     if (cfg_.vote.enabled)
         return observeRobust(seq).hits;
-    unsigned repeats = cfg_.voteRepeats;
-    if (repeats % 2 == 0)
-        ++repeats;
-    std::vector<unsigned> hits(seq.size(), 0);
-    for (unsigned r = 0; r < repeats; ++r) {
-        const std::vector<bool> outcome = replayObserved(seq);
-        for (size_t i = 0; i < seq.size(); ++i)
-            if (outcome[i])
-                ++hits[i];
-    }
+    const unsigned repeats = oddRepeats(cfg_.voteRepeats);
+    const std::vector<unsigned> hits = tallyHits(seq, repeats);
     std::vector<bool> voted(seq.size());
     for (size_t i = 0; i < seq.size(); ++i)
         voted[i] = hits[i] > repeats / 2;
@@ -172,16 +128,8 @@ SetProber::observeRobust(const std::vector<BlockId>& seq)
 
     if (!cfg_.vote.enabled) {
         // Legacy fixed-N schedule, reported through the robust type.
-        unsigned repeats = std::max(1u, cfg_.voteRepeats);
-        if (repeats % 2 == 0)
-            ++repeats;
-        std::vector<unsigned> hits(seq.size(), 0);
-        for (unsigned r = 0; r < repeats; ++r) {
-            const std::vector<bool> outcome = replayObserved(seq);
-            for (size_t i = 0; i < seq.size(); ++i)
-                if (outcome[i])
-                    ++hits[i];
-        }
+        const unsigned repeats = oddRepeats(cfg_.voteRepeats);
+        const std::vector<unsigned> hits = tallyHits(seq, repeats);
         for (size_t i = 0; i < seq.size(); ++i) {
             out.hits[i] = hits[i] > repeats / 2;
             out.confidence[i] =
@@ -212,9 +160,7 @@ SetProber::observeLevels(const std::vector<BlockId>& seq)
 {
     if (cfg_.vote.enabled)
         return observeLevelsRobust(seq).levels;
-    unsigned repeats = cfg_.voteRepeats;
-    if (repeats % 2 == 0)
-        ++repeats;
+    const unsigned repeats = oddRepeats(cfg_.voteRepeats);
     // votes[i][lvl]: how many replays served access i from lvl.
     const unsigned depth = ctx_.depth() + 1;
     std::vector<std::vector<unsigned>> votes(
@@ -328,6 +274,19 @@ SetProber::run(const std::vector<BlockId>& seq)
         evictInnerLevels();
         ctx_.access(blockAddr(b));
     }
+}
+
+std::vector<unsigned>
+SetProber::tallyHits(const std::vector<BlockId>& seq, unsigned repeats)
+{
+    std::vector<unsigned> hits(seq.size(), 0);
+    for (unsigned r = 0; r < repeats; ++r) {
+        const std::vector<bool> outcome = replayObserved(seq);
+        for (size_t i = 0; i < seq.size(); ++i)
+            if (outcome[i])
+                ++hits[i];
+    }
+    return hits;
 }
 
 std::vector<bool>

@@ -92,22 +92,6 @@ class SetProber
     /** Address of abstract block @p block in the probed set. */
     cache::Addr blockAddr(BlockId block) const;
 
-    /**
-     * Replays flush + @p seq, then reports whether @p probe is still
-     * resident in the probed set (majority-voted).
-     */
-    bool survives(const std::vector<BlockId>& seq, BlockId probe);
-
-    /**
-     * Like survives(), but reports the full vote outcome: verdict
-     * (which may be kUndetermined under cfg.vote), confidence, and
-     * the experiment repetitions consumed. With cfg.vote disabled the
-     * legacy fixed-N majority runs and the verdict is always
-     * determined.
-     */
-    VoteOutcome survivesVote(const std::vector<BlockId>& seq,
-                             BlockId probe);
-
     /** Per-position robust observation of a replayed sequence. */
     struct ObservedSequence
     {
@@ -194,6 +178,13 @@ class SetProber
         if (checkpoint_)
             checkpoint_();
     }
+
+    /**
+     * Per-position hit counts over @p repeats un-voted replays of
+     * flush + seq: the fixed-N majority schedule's tally.
+     */
+    std::vector<unsigned> tallyHits(const std::vector<BlockId>& seq,
+                                    unsigned repeats);
 
     /** One un-voted replay of flush + seq with per-access outcomes. */
     std::vector<bool> replayObserved(const std::vector<BlockId>& seq);

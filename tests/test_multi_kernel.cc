@@ -6,8 +6,9 @@
  * eval::simulateMultiPolicy must reproduce the per-policy
  * simulateTraceKernel result bit-exactly, and
  * eval::matchObservationMultiPolicy must agree with a per-candidate
- * SetModel replay. The CandidateSearch regression pins the lane
- * path against the legacy per-candidate fan-out with fixed seeds.
+ * SetModel replay. The CandidateSearch regression pins the
+ * elimination trajectory that runs on the lane kernel for fixed
+ * seeds.
  */
 
 #include <gtest/gtest.h>
@@ -292,7 +293,7 @@ singleLevelSpec(const std::string& policy, unsigned ways)
 }
 
 infer::CandidateSearchResult
-searchWith(const std::string& policy, unsigned ways, bool laneKernel)
+searchWith(const std::string& policy, unsigned ways)
 {
     auto spec = singleLevelSpec(policy, ways);
     hw::Machine machine(spec);
@@ -304,28 +305,40 @@ searchWith(const std::string& policy, unsigned ways, bool laneKernel)
     infer::CandidateSearchConfig cfg;
     cfg.seed = 4242;
     cfg.numThreads = 1;
-    cfg.useLaneKernel = laneKernel;
     infer::CandidateSearch search(
         prober, infer::defaultCandidateSpecs(ways), cfg);
     return search.run();
 }
 
-/** The lane path and the legacy per-candidate fan-out must walk the
- *  same elimination trajectory: same survivors, verdict, rounds and
- *  measurement cost for fixed seeds. */
-TEST(MultiKernel, CandidateSearchLanePathBitEqual)
+/** Candidate search eliminates on the lane kernel: its trajectory
+ *  over the full default library (survivors, verdict, rounds and
+ *  measurement cost) is pinned for fixed seeds. The kernel itself is
+ *  checked against per-candidate SetModel replay by
+ *  MatchObservationEqualsSetModelReplay. */
+TEST(MultiKernel, CandidateSearchLanePathPinned)
 {
-    for (const std::string truth : {"plru", "nru", "fifo"}) {
-        const auto lane = searchWith(truth, 4, true);
-        const auto legacy = searchWith(truth, 4, false);
-        EXPECT_EQ(lane.survivors, legacy.survivors) << truth;
-        EXPECT_EQ(lane.decided, legacy.decided) << truth;
-        EXPECT_EQ(lane.verdict, legacy.verdict) << truth;
-        EXPECT_EQ(lane.undetermined, legacy.undetermined) << truth;
-        EXPECT_EQ(lane.roundsRun, legacy.roundsRun) << truth;
-        EXPECT_EQ(lane.loadsUsed, legacy.loadsUsed) << truth;
-        EXPECT_EQ(lane.experimentsUsed, legacy.experimentsUsed)
-            << truth;
+    struct Pin
+    {
+        const char* truth;
+        std::vector<std::string> survivors;
+        unsigned rounds;
+        uint64_t loads;
+        uint64_t experiments;
+    };
+    const Pin pins[] = {
+        {"plru", {"plru"}, 1, 24, 1},
+        {"nru", {"nru", "qlru:H0,M0,R0,U2"}, 11, 408, 11},
+        {"fifo", {"fifo"}, 2, 48, 2},
+    };
+    for (const Pin& pin : pins) {
+        const auto got = searchWith(pin.truth, 4);
+        EXPECT_EQ(got.survivors, pin.survivors) << pin.truth;
+        EXPECT_TRUE(got.decided) << pin.truth;
+        EXPECT_EQ(got.verdict, pin.truth);
+        EXPECT_FALSE(got.undetermined) << pin.truth;
+        EXPECT_EQ(got.roundsRun, pin.rounds) << pin.truth;
+        EXPECT_EQ(got.loadsUsed, pin.loads) << pin.truth;
+        EXPECT_EQ(got.experimentsUsed, pin.experiments) << pin.truth;
     }
 }
 

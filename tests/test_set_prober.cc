@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "recap/common/error.hh"
 #include "recap/common/rng.hh"
 #include "recap/hw/catalog.hh"
@@ -13,6 +15,7 @@
 #include "recap/infer/set_prober.hh"
 #include "recap/policy/factory.hh"
 #include "recap/policy/set_model.hh"
+#include "recap/query/oracle.hh"
 
 namespace
 {
@@ -98,17 +101,26 @@ TEST(SetProber, SurvivesReflectsEvictionDepth)
     SetProber prober(ctx, geometryOf(spec), 1);
     const unsigned k = prober.ways();
 
+    // Survival probes are membership queries, the form inference
+    // issues them in.
+    query::MachineOracle oracle(prober);
+    auto survives = [&](const std::vector<BlockId>& seq, BlockId b) {
+        return oracle.evaluate(query::makeSurvivalQuery(seq, b))
+            .probes.front()
+            .hit;
+    };
+
     // Fill blocks 1..k; block 1 is tree-PLRU's first victim from the
     // canonical state, so it fails to survive one extra miss.
     std::vector<BlockId> fill;
     for (unsigned b = 1; b <= k; ++b)
         fill.push_back(b);
-    EXPECT_TRUE(prober.survives(fill, 1));
+    EXPECT_TRUE(survives(fill, 1));
     auto with_miss = fill;
     with_miss.push_back(500);
-    EXPECT_FALSE(prober.survives(with_miss, 1));
+    EXPECT_FALSE(survives(with_miss, 1));
     // Some other block survived that miss.
-    EXPECT_TRUE(prober.survives(with_miss, k));
+    EXPECT_TRUE(survives(with_miss, k));
 }
 
 TEST(SetProber, DifferentBaseAddrProbesDifferentSets)
@@ -170,6 +182,41 @@ TEST(SetProber, VotingDefeatsDisturbanceNoise)
         if (observed[i] != model.access(seq[i]))
             ++mismatches;
     EXPECT_LE(mismatches, 1u);
+}
+
+// observe() and the fixed-N branch of observeRobust() share one
+// majority tally: on twin noisy machines (same seed, same disturbance
+// stream) they read the same bits at the same measurement cost.
+TEST(SetProber, FixedVoteObserveEqualsObserveRobust)
+{
+    hw::NoiseConfig noise;
+    noise.disturbProbability = 0.05;
+    auto spec = hw::reducedSpec(hw::catalogMachine("core2-e6300"), 512);
+    SetProberConfig pc;
+    pc.voteRepeats = 3;
+
+    hw::Machine machineA(spec, 9, noise);
+    MeasurementContext ctxA(machineA);
+    SetProber proberA(ctxA, geometryOf(spec), 1, pc);
+    hw::Machine machineB(spec, 9, noise);
+    MeasurementContext ctxB(machineB);
+    SetProber proberB(ctxB, geometryOf(spec), 1, pc);
+
+    Rng rng(21);
+    std::vector<BlockId> seq;
+    for (int i = 0; i < 60; ++i)
+        seq.push_back(1 + rng.nextBelow(12));
+    const std::vector<bool> hits = proberA.observe(seq);
+    const SetProber::ObservedSequence robust =
+        proberB.observeRobust(seq);
+    // The noise must split some vote, or the tally is not exercised.
+    EXPECT_TRUE(std::any_of(robust.confidence.begin(),
+                            robust.confidence.end(),
+                            [](double c) { return c < 1.0; }));
+    EXPECT_EQ(hits, robust.hits);
+    EXPECT_EQ(robust.replays, 3u);
+    EXPECT_EQ(ctxA.loadsIssued(), ctxB.loadsIssued());
+    EXPECT_EQ(ctxA.experimentsRun(), ctxB.experimentsRun());
 }
 
 TEST(SetProber, RejectsBadLevels)
