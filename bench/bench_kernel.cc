@@ -8,7 +8,10 @@
  * and reports single-thread throughput (accesses/second) for both
  * paths plus the speedup. Policies whose state space exceeds the
  * compile budget are listed as fallbacks (the kernel transparently
- * runs them interpreted).
+ * runs them interpreted). Every row also reports the wall-clock time
+ * of one fresh compilePolicy() of the spec — the table build the
+ * memoized compiledTableFor() pays once per (spec, ways) — whether
+ * it produces a table or runs into the budget.
  *
  * Writes BENCH_kernel.json. When RECAP_KERNEL_SPEEDUP_FLOOR is set
  * (the CI perf-smoke job sets a conservative floor), exits non-zero
@@ -23,12 +26,15 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hh"
 #include "recap/common/table.hh"
 #include "recap/eval/kernel.hh"
+#include "recap/hw/catalog.hh"
 #include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
 #include "recap/trace/generators.hh"
@@ -58,6 +64,34 @@ timeBestOf(Fn&& fn)
     return best;
 }
 
+struct CompileTiming
+{
+    double seconds = 0.0;
+    uint32_t states = 0; ///< 0 = over budget
+};
+
+/**
+ * One fresh compilePolicy() of @p spec at @p ways, outside the
+ * compiledTableFor() memo. Timed once: repeating it would only
+ * re-measure a warm allocator.
+ */
+CompileTiming
+timeFreshCompile(const std::string& spec, unsigned ways)
+{
+    const auto proto = policy::makePolicy(spec, ways);
+    const auto start = std::chrono::steady_clock::now();
+    const auto table = policy::compilePolicy(*proto, {});
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return {elapsed.count(), table ? table->numStates() : 0};
+}
+
+std::string
+formatMs(double seconds)
+{
+    return formatDouble(seconds * 1e3, 1) + " ms";
+}
+
 std::string
 formatRate(double accPerSec)
 {
@@ -75,8 +109,8 @@ runComparison()
 
     const auto t = trace::zipf(128 * 1024, kAccesses, 0.9, 1);
 
-    TextTable table({"policy", "states", "interpreted", "compiled",
-                     "speedup"});
+    TextTable table({"policy", "states", "compile", "interpreted",
+                     "compiled", "speedup"});
     benchjson::Writer json(
         "kernel",
         "interpreted vs compiled-automaton simulation throughput");
@@ -85,6 +119,7 @@ runComparison()
 
     double logSum = 0.0;
     unsigned counted = 0;
+    double compileTotal = 0.0;
     bool mismatch = false;
 
     // The full catalog, modern policies included: at this 8-way
@@ -96,6 +131,10 @@ runComparison()
     for (const auto& spec : policy::catalogSpecs()) {
         if (!policy::specSupportsWays(spec, kGeom.ways))
             continue;
+        const double compileSecs =
+            timeFreshCompile(spec, kGeom.ways).seconds;
+        compileTotal += compileSecs;
+        const std::string compileCell = formatMs(compileSecs);
         const auto compiled =
             policy::compiledTableFor(spec, kGeom.ways, {});
 
@@ -109,10 +148,11 @@ runComparison()
         const double interpRate = kAccesses / interpSecs;
 
         if (!compiled) {
-            table.addRow({spec, "> budget", formatRate(interpRate),
-                          "(fallback)", "-"});
+            table.addRow({spec, "> budget", compileCell,
+                          formatRate(interpRate), "(fallback)", "-"});
             json.row({{"policy", spec},
                       {"mode", std::string("fallback")},
+                      {"compile_s", compileSecs},
                       {"interpreted_acc_per_sec", interpRate}});
             continue;
         }
@@ -138,11 +178,13 @@ runComparison()
         }
 
         table.addRow({spec, std::to_string(compiled->numStates()),
-                      formatRate(interpRate), formatRate(compiledRate),
+                      compileCell, formatRate(interpRate),
+                      formatRate(compiledRate),
                       formatDouble(speedup, 2) + "x"});
         json.row({{"policy", spec},
                   {"mode", std::string("compiled")},
                   {"states", uint64_t{compiled->numStates()}},
+                  {"compile_s", compileSecs},
                   {"interpreted_acc_per_sec", interpRate},
                   {"compiled_acc_per_sec", compiledRate},
                   {"speedup", speedup}});
@@ -153,7 +195,43 @@ runComparison()
     table.print(std::cout);
     std::cout << "\nGeomean speedup over compiled policies: "
               << formatDouble(geomean, 2) << "x\n";
+    std::cout << "Compile time, all rows: "
+              << formatDouble(compileTotal, 2) << " s\n\n";
     json.field("geomean_speedup", geomean);
+    json.field("compile_s", compileTotal);
+
+    // The wider automata the Intel hierarchies compile per level
+    // (each distinct (spec, ways) once, duel constituents included).
+    TextTable hierTable({"hierarchy policy", "ways", "states",
+                         "compile"});
+    std::set<std::pair<std::string, unsigned>> seen;
+    double hierTotal = 0.0;
+    for (const auto& machine : hw::intelCatalog()) {
+        for (const auto& level : machine.levels) {
+            for (const auto& spec :
+                 {level.policySpec, level.policySpecB}) {
+                if (spec.empty() ||
+                    !seen.emplace(spec, level.ways).second)
+                    continue;
+                const CompileTiming c =
+                    timeFreshCompile(spec, level.ways);
+                hierTotal += c.seconds;
+                hierTable.addRow(
+                    {spec, std::to_string(level.ways),
+                     c.states ? std::to_string(c.states) : "> budget",
+                     formatMs(c.seconds)});
+                json.row({{"policy", spec},
+                          {"mode", std::string("hierarchy")},
+                          {"ways", uint64_t{level.ways}},
+                          {"states", uint64_t{c.states}},
+                          {"compile_s", c.seconds}});
+            }
+        }
+    }
+    hierTable.print(std::cout);
+    std::cout << "\nCompile time, hierarchy policies: "
+              << formatDouble(hierTotal, 2) << " s\n";
+    json.field("hier_compile_s", hierTotal);
     const std::string path = json.write();
     if (!path.empty())
         std::cout << "Wrote " << path << "\n";

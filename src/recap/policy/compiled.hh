@@ -26,6 +26,12 @@
  * simply fail to compile: compilePolicy() returns nullptr and every
  * consumer falls back to the interpreted automaton, with behaviour
  * pinned bit-identical by tests/test_compiled_policy.cc.
+ *
+ * The enumeration runs in two-phase rounds over the BFS frontier:
+ * successor keys are derived and probed against a flat intern table
+ * in parallel on the shared pool, then the misses are interned
+ * serially in edge order, so the tables (ids included) are exactly
+ * those of a serial BFS; test_compiled_policy pins them by digest.
  */
 
 #ifndef RECAP_POLICY_COMPILED_HH_
@@ -45,17 +51,22 @@ namespace recap::policy
 struct CompileBudget
 {
     /**
-     * Abort compilation beyond this many control states. The default
-     * admits every catalog policy at k <= 8 except the throttled
-     * insertion policies (BIP/BRRIP multiply the base state count by
-     * their throttle) and covers PLRU/NRU-style policies up to
-     * k = 16; LRU-order policies at k = 16 (16! states) and the
-     * stochastic "random" policy (unbounded stream counter) exceed it
-     * and fall back to interpretation.
+     * Abort compilation beyond this many control states (inclusive:
+     * exactly maxStates states still compile). At k = 8 the default
+     * falls back for random (unbounded stream counter), bip and brrip
+     * (the throttle multiplies the base state count), slru, and the
+     * dueling dip, drrip and dip:4,3,4 (PSEL x epoch product);
+     * drrip:1,4,3,4 (130 740 states) and every other deterministic
+     * catalog policy compiles. ship/eaf consume metadata and never
+     * compile. PLRU and NRU compile up to k = 16; NRU at 24, the two
+     * catalog QLRU variants at 12 and LRU-order policies at 16 (16!
+     * states) fall back.
+     * tests/test_compiled_policy.cc pins each of these outcomes.
      */
     uint64_t maxStates = 1u << 17;
 
-    /** Abort when the transition tables would exceed this size. */
+    /** Abort when the transition tables plus state keys would
+     *  exceed this many bytes (inclusive, like maxStates). */
     uint64_t maxTableBytes = uint64_t{96} << 20;
 };
 
@@ -249,7 +260,11 @@ class TableLanes
  * Enumerates the reachable control states of @p proto (closed under
  * every touch(w)/fill(w) input, so the table is total even for fill
  * patterns only adaptive caches produce) and builds its transition
- * tables.
+ * tables. Large frontiers are probed in parallel on sharedPool()
+ * (inline when called from a pool worker); @p proto's clone(),
+ * touch(), fill(), victim() and stateKey() must therefore be safe to
+ * call on distinct clones from several threads at once, as every
+ * ReplacementPolicy in the tree is.
  *
  * @return nullptr when the state space exceeds @p budget — the
  *         caller must keep using the interpreted policy.
@@ -258,9 +273,15 @@ CompiledTablePtr compilePolicy(const ReplacementPolicy& proto,
                                const CompileBudget& budget = {});
 
 /**
- * Process-wide memoized compilation of factory specs: at most one
- * enumeration (including at most one failed over-budget enumeration)
- * per (spec, ways, budget) for the process lifetime. Thread-safe.
+ * Process-wide memoized compilation of factory specs, thread-safe.
+ * Once any call for a (spec, ways, budget) key has returned, every
+ * later call returns that same table (or nullptr, for an over-budget
+ * key) without enumerating. First callers that race each other may
+ * each enumerate; all produce identical tables and the first to
+ * finish wins the slot. The lookup deliberately does not block a
+ * caller on another caller's in-flight enumeration: a pool worker
+ * waiting on a compile that itself waits for that pool to go idle
+ * (compilePolicy fans out on sharedPool()) would deadlock.
  * Only deterministic policies compile, so the factory seed is
  * irrelevant to the result; "random" misses the budget by design.
  */

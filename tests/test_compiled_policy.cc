@@ -4,16 +4,22 @@
  * CompiledPolicy must be bit-exact against the interpreted policy it
  * was compiled from — same victims, same state keys — under long
  * random input words, under clone/reset interleavings, and must fall
- * back cleanly when the state space exceeds the compile budget.
+ * back cleanly when the state space exceeds the compile budget. The
+ * tables themselves are pinned by digest, so a faster enumeration
+ * cannot renumber states or move the over-budget line unnoticed.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include "recap/common/parallel.hh"
 #include "recap/common/rng.hh"
 #include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
@@ -230,6 +236,234 @@ TEST(CompiledFallback, RejectsInvalidSpecs)
 {
     EXPECT_EQ(compiledTableFor("no-such-policy", 8, {}), nullptr);
     EXPECT_EQ(compiledTableFor("plru", 3, {}), nullptr);
+}
+
+/**
+ * FNV-1a (64-bit) over a whole table in state-id order: per state the
+ * touchNext row, the fillNext row (4 little-endian bytes per entry),
+ * the victim (2 bytes), then the stateKey length (8 bytes) and bytes.
+ * Equal digests mean equal ids, transitions, victims and keys.
+ */
+uint64_t
+tableDigest(const CompiledTable& table)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](const void* data, std::size_t size) {
+        const auto* bytes = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            h ^= bytes[i];
+            h *= 0x100000001b3ULL;
+        }
+    };
+    const auto mixWord = [&mix](uint64_t value, std::size_t size) {
+        unsigned char bytes[8];
+        for (std::size_t i = 0; i < size; ++i)
+            bytes[i] = static_cast<unsigned char>(value >> (8 * i));
+        mix(bytes, size);
+    };
+    for (uint32_t s = 0; s < table.numStates(); ++s) {
+        for (unsigned w = 0; w < table.ways(); ++w)
+            mixWord(table.touchNext(s, w), 4);
+        for (unsigned w = 0; w < table.ways(); ++w)
+            mixWord(table.fillNext(s, w), 4);
+        mixWord(table.victim(s), 2);
+        const std::string& key = table.stateKey(s);
+        mixWord(key.size(), 8);
+        mix(key.data(), key.size());
+    }
+    return h;
+}
+
+struct TablePin
+{
+    const char* spec;
+    unsigned ways;
+    uint32_t states; ///< 0 = over the default budget (nullptr)
+    uint64_t digest;
+};
+
+/**
+ * compilePolicy() under the default CompileBudget, as produced by a
+ * plain serial BFS (state, then touch 0..k-1, then fill 0..k-1):
+ * every catalogSpecs() entry at 2, 4 and 8 ways, then the wide
+ * automata the Intel hierarchies compile (PLRU/NRU at 16, NRU at 24,
+ * QLRU at 12). ship/eaf consume metadata and never compile.
+ */
+const TablePin kTablePins[] = {
+    {"lru", 2, 2, 0xd5ead3e7df8b9282ULL},
+    {"fifo", 2, 2, 0xb00118dd1ce3e172ULL},
+    {"plru", 2, 2, 0x128eabb61fa46e37ULL},
+    {"bitplru", 2, 3, 0x7cd47b1a75698d6cULL},
+    {"nru", 2, 4, 0xaeef369f0a4f5807ULL},
+    {"random", 2, 0, 0},
+    {"lip", 2, 2, 0x5cf29258812cbde2ULL},
+    {"bip", 2, 64, 0x4c80f48245cadff3ULL},
+    {"srrip", 2, 13, 0xdfaa61b876ad39f9ULL},
+    {"brrip", 2, 384, 0xf6e4d5882d36c013ULL},
+    {"slru", 2, 4, 0x29f6682a6b262af5ULL},
+    {"qlru:H1,M1,R0,U2", 2, 16, 0x3acb3b40dead0bebULL},
+    {"qlru:H1,M3,R0,U2", 2, 16, 0x90374ffc1b8dc36dULL},
+    {"dip", 2, 8192, 0xa6b8a8a92e6e0545ULL},
+    {"drrip", 2, 48512, 0x58f1c85b98fd37ebULL},
+    {"ship", 2, 0, 0},
+    {"eaf", 2, 0, 0},
+    {"dip:4,3,4", 2, 1024, 0xb52178dc9f398a2dULL},
+    {"drrip:1,4,3,4", 2, 1716, 0xd7c584f90720f2c4ULL},
+    {"lru", 4, 24, 0x77a15117a9b94901ULL},
+    {"fifo", 4, 24, 0xe47207d27d757999ULL},
+    {"plru", 4, 8, 0x0732020570064f7dULL},
+    {"bitplru", 4, 15, 0x6eeaf5b16cfbcbaeULL},
+    {"nru", 4, 16, 0x05a876ade98ad15aULL},
+    {"random", 4, 0, 0},
+    {"lip", 4, 24, 0xe85f35318f0a2959ULL},
+    {"bip", 4, 768, 0x4b8077756ca3d095ULL},
+    {"srrip", 4, 241, 0x7ec22b65b0f2cbbdULL},
+    {"brrip", 4, 7680, 0x7c19af5e76d05328ULL},
+    {"slru", 4, 72, 0xd26d3a48bcd3605aULL},
+    {"qlru:H1,M1,R0,U2", 4, 256, 0x2f366e6358b229aaULL},
+    {"qlru:H1,M3,R0,U2", 4, 256, 0x0f3a390139b8a735ULL},
+    {"dip", 4, 98304, 0x4d6ddefd2be22705ULL},
+    {"drrip", 4, 0, 0},
+    {"ship", 4, 0, 0},
+    {"eaf", 4, 0, 0},
+    {"dip:4,3,4", 4, 12288, 0xb84a6e5be3cb36e7ULL},
+    {"drrip:1,4,3,4", 4, 7860, 0x8195a3a3224fcf9bULL},
+    {"lru", 8, 40320, 0xa63f6b1021d08e11ULL},
+    {"fifo", 8, 40320, 0x0594fceeee6e62adULL},
+    {"plru", 8, 128, 0x4098c8b7e09e534dULL},
+    {"bitplru", 8, 255, 0xa489793a4dd0beb6ULL},
+    {"nru", 8, 256, 0x5b7fa80da358709eULL},
+    {"random", 8, 0, 0},
+    {"lip", 8, 40320, 0xd63b7ca271b7a8a1ULL},
+    {"bip", 8, 0, 0},
+    {"srrip", 8, 65281, 0x1c9f718931779ddbULL},
+    {"brrip", 8, 0, 0},
+    {"slru", 8, 0, 0},
+    {"qlru:H1,M1,R0,U2", 8, 65536, 0x763c67b920b2a89eULL},
+    {"qlru:H1,M3,R0,U2", 8, 65536, 0x41c6621e12804c9bULL},
+    {"dip", 8, 0, 0},
+    {"drrip", 8, 0, 0},
+    {"ship", 8, 0, 0},
+    {"eaf", 8, 0, 0},
+    {"dip:4,3,4", 8, 0, 0},
+    {"drrip:1,4,3,4", 8, 130740, 0x6d3a6c1253599d49ULL},
+    {"plru", 16, 32768, 0x5b6fdee181db740dULL},
+    {"nru", 16, 65536, 0x5bd42febc6a4682eULL},
+    {"nru", 24, 0, 0},
+    {"qlru:H1,M1,R0,U2", 12, 0, 0},
+    {"qlru:H1,M3,R0,U2", 12, 0, 0},
+};
+
+/** Compiles every pin at @p ways (0 = the wide extras) afresh. */
+void
+checkTablePins(unsigned ways)
+{
+    unsigned checked = 0;
+    for (const TablePin& pin : kTablePins) {
+        const bool wide = pin.ways != 2 && pin.ways != 4 && pin.ways != 8;
+        if (ways == 0 ? !wide : pin.ways != ways)
+            continue;
+        ++checked;
+        const CompiledTablePtr table =
+            compilePolicy(*makePolicy(pin.spec, pin.ways));
+        if (pin.states == 0) {
+            EXPECT_EQ(table, nullptr) << pin.spec << " k=" << pin.ways;
+            continue;
+        }
+        ASSERT_NE(table, nullptr) << pin.spec << " k=" << pin.ways;
+        EXPECT_EQ(table->numStates(), pin.states)
+            << pin.spec << " k=" << pin.ways;
+        EXPECT_EQ(tableDigest(*table), pin.digest)
+            << pin.spec << " k=" << pin.ways;
+    }
+    if (ways == 0) {
+        EXPECT_EQ(checked, 5u);
+        return;
+    }
+    // The pins cover the whole catalog at this associativity.
+    unsigned catalog = 0;
+    for (const std::string& spec : catalogSpecs())
+        catalog += specSupportsWays(spec, ways) ? 1 : 0;
+    EXPECT_EQ(checked, catalog);
+}
+
+TEST(CompiledTablePins, CatalogAt2Ways) { checkTablePins(2); }
+TEST(CompiledTablePins, CatalogAt4Ways) { checkTablePins(4); }
+TEST(CompiledTablePins, CatalogAt8Ways) { checkTablePins(8); }
+TEST(CompiledTablePins, HierarchyWideAutomata) { checkTablePins(0); }
+
+/**
+ * The budget is exact: LRU at 4 ways has 24 states whose tables plus
+ * keys take 24 * (2 * 4 * 4 + 2) + 24 * 4 = 912 bytes; a budget of
+ * exactly that compiles, one state or one byte less does not.
+ */
+TEST(CompiledBudget, LimitsAreInclusive)
+{
+    const PolicyPtr lru = makePolicy("lru", 4);
+
+    CompileBudget states;
+    states.maxStates = 24;
+    const CompiledTablePtr table = compilePolicy(*lru, states);
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(table->numStates(), 24u);
+    states.maxStates = 23;
+    EXPECT_EQ(compilePolicy(*lru, states), nullptr);
+
+    uint64_t keyBytes = 0;
+    for (uint32_t s = 0; s < table->numStates(); ++s)
+        keyBytes += table->stateKey(s).size();
+    const uint64_t exact =
+        uint64_t{24} * (2 * 4 * sizeof(uint32_t) + sizeof(uint16_t)) +
+        keyBytes;
+    EXPECT_EQ(exact, 912u);
+
+    CompileBudget bytes;
+    bytes.maxTableBytes = exact;
+    EXPECT_NE(compilePolicy(*lru, bytes), nullptr);
+    bytes.maxTableBytes = exact - 1;
+    EXPECT_EQ(compilePolicy(*lru, bytes), nullptr);
+}
+
+/**
+ * The enumeration fans its probe phase out on the shared pool when
+ * called from an ordinary thread and runs inline inside a pool task;
+ * either way — and with two callers sharing the pool at once — the
+ * table is the pinned one. Runs under ThreadSanitizer in CI.
+ */
+TEST(CompiledTablePins, SameTableOnAndOffThePool)
+{
+    const TablePin& pin = *std::find_if(
+        std::begin(kTablePins), std::end(kTablePins),
+        [](const TablePin& p) {
+            return std::string(p.spec) == "dip:4,3,4" && p.ways == 4;
+        });
+    const uint64_t pinned = pin.digest;
+    const auto digestOf = [&pin] {
+        const CompiledTablePtr table =
+            compilePolicy(*makePolicy(pin.spec, pin.ways));
+        return table ? tableDigest(*table) : 0;
+    };
+
+    EXPECT_EQ(digestOf(), pinned);
+
+    uint64_t inTask[2] = {0, 0};
+    {
+        TaskPool pool(2);
+        for (uint64_t& slot : inTask)
+            pool.submit([&digestOf, &slot] { slot = digestOf(); });
+        pool.wait();
+    }
+    EXPECT_EQ(inTask[0], pinned);
+    EXPECT_EQ(inTask[1], pinned);
+
+    uint64_t concurrent = 0;
+    std::thread other([&digestOf, &concurrent] {
+        concurrent = digestOf();
+    });
+    const uint64_t here = digestOf();
+    other.join();
+    EXPECT_EQ(here, pinned);
+    EXPECT_EQ(concurrent, pinned);
 }
 
 } // namespace
