@@ -6,12 +6,15 @@
  * runs the same trace through the interpreted Cache model and the
  * compiled table kernel, checks the statistics agree bit-exactly,
  * and reports single-thread throughput (accesses/second) for both
- * paths plus the speedup. Policies whose state space exceeds the
- * compile budget are listed as fallbacks (the kernel transparently
- * runs them interpreted). Every row also reports the wall-clock time
- * of one fresh compilePolicy() of the spec — the table build the
- * memoized compiledTableFor() pays once per (spec, ways) — whether
- * it produces a table or runs into the budget.
+ * paths plus the speedup. Factored tables (core plus control
+ * register) show their states as core x control and count towards
+ * the geomean like any compiled row. Policies without a table are
+ * listed as fallbacks (the kernel transparently runs them
+ * interpreted). Every row also reports the wall-clock time of one
+ * compilePolicy() of the spec outside the compiledTableFor() memo —
+ * whether it produces a table or gives up. A factored core is
+ * memoized inside compilePolicy() itself, so only the first row on
+ * each core pays for enumerating it.
  *
  * Writes BENCH_kernel.json. When RECAP_KERNEL_SPEEDUP_FLOOR is set
  * (the CI perf-smoke job sets a conservative floor), exits non-zero
@@ -67,8 +70,20 @@ timeBestOf(Fn&& fn)
 struct CompileTiming
 {
     double seconds = 0.0;
-    uint32_t states = 0; ///< 0 = over budget
+    uint32_t states = 0;  ///< 0 = no table; core states if factored
+    uint32_t control = 0; ///< control states (factored only)
+    std::string label = "> budget"; ///< statesOf(), for the table
 };
+
+/** States of @p table: "n", or "core x control" when factored. */
+std::string
+statesOf(const policy::CompiledTable& table)
+{
+    std::string states = std::to_string(table.numStates());
+    if (table.factored())
+        states += " x " + std::to_string(table.controlStates());
+    return states;
+}
 
 /**
  * One fresh compilePolicy() of @p spec at @p ways, outside the
@@ -83,7 +98,14 @@ timeFreshCompile(const std::string& spec, unsigned ways)
     const auto table = policy::compilePolicy(*proto, {});
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    return {elapsed.count(), table ? table->numStates() : 0};
+    CompileTiming timing;
+    timing.seconds = elapsed.count();
+    if (table) {
+        timing.states = table->numStates();
+        timing.control = table->controlStates();
+        timing.label = statesOf(*table);
+    }
+    return timing;
 }
 
 std::string
@@ -123,11 +145,10 @@ runComparison()
     bool mismatch = false;
 
     // The full catalog, modern policies included: at this 8-way
-    // geometry the default-parameter dueling/predictor automata
-    // exceed the compile budget (or consume metadata outright) and
-    // appear as fallback rows; the small-parameter DRRIP variant
-    // still compiles, putting one modern policy on the kernel path
-    // the CI speedup floor guards.
+    // geometry the bimodal and dueling automata compile factored,
+    // drrip:1,4,3,4 whole; slru exceeds the budget, ship/eaf consume
+    // metadata and random is not finite, so those four appear as
+    // fallback rows.
     for (const auto& spec : policy::catalogSpecs()) {
         if (!policy::specSupportsWays(spec, kGeom.ways))
             continue;
@@ -177,13 +198,16 @@ runComparison()
             mismatch = true;
         }
 
-        table.addRow({spec, std::to_string(compiled->numStates()),
-                      compileCell, formatRate(interpRate),
-                      formatRate(compiledRate),
+        table.addRow({spec, statesOf(*compiled), compileCell,
+                      formatRate(interpRate), formatRate(compiledRate),
                       formatDouble(speedup, 2) + "x"});
         json.row({{"policy", spec},
-                  {"mode", std::string("compiled")},
+                  {"mode", std::string(compiled->factored()
+                                           ? "factored"
+                                           : "compiled")},
                   {"states", uint64_t{compiled->numStates()}},
+                  {"control_states",
+                   uint64_t{compiled->controlStates()}},
                   {"compile_s", compileSecs},
                   {"interpreted_acc_per_sec", interpRate},
                   {"compiled_acc_per_sec", compiledRate},
@@ -216,14 +240,13 @@ runComparison()
                 const CompileTiming c =
                     timeFreshCompile(spec, level.ways);
                 hierTotal += c.seconds;
-                hierTable.addRow(
-                    {spec, std::to_string(level.ways),
-                     c.states ? std::to_string(c.states) : "> budget",
-                     formatMs(c.seconds)});
+                hierTable.addRow({spec, std::to_string(level.ways),
+                                  c.label, formatMs(c.seconds)});
                 json.row({{"policy", spec},
                           {"mode", std::string("hierarchy")},
                           {"ways", uint64_t{level.ways}},
                           {"states", uint64_t{c.states}},
+                          {"control_states", uint64_t{c.control}},
                           {"compile_s", c.seconds}});
             }
         }

@@ -4,9 +4,10 @@
  *
  * This is the devirtualized hot path of trace-driven evaluation: the
  * cache is represented structure-of-arrays (one flat tag array, one
- * fill cursor and one integer policy-control-state per set) and every
- * access is a tag scan plus one transition-table lookup — no virtual
- * dispatch, no allocation, no per-set policy objects. Following the
+ * fill cursor and one integer policy-control-state per set, plus one
+ * control register per set for a factored table) and every access is
+ * a tag scan plus one transition-table lookup (two when factored) —
+ * no virtual dispatch, no allocation, no per-set policy objects. Following the
  * measurement-kernel discipline of nanoBench/CacheQuery, the kernel
  * does exactly what cache::Cache does for read-only traces and is
  * pinned bit-exact against it by tests/test_kernel.cc (stats, final
@@ -15,8 +16,9 @@
  * simulateTracesBatch() runs many traces of one policy: the policy is
  * compiled once and the traces fan out over the shared TaskPool (see
  * common/parallel.hh), so sweeps stop paying per-call pool spin-up.
- * Policies that exceed the compile budget transparently fall back to
- * the interpreted cache::Cache path — same results, interpreter speed.
+ * Policies without a table (over the compile budget, metadata
+ * consumers, "random") transparently fall back to the interpreted
+ * cache::Cache path — same results, interpreter speed.
  */
 
 #ifndef RECAP_EVAL_KERNEL_HH_

@@ -71,11 +71,18 @@ namespace
 /** Widest lockstep group the kernel instantiates. */
 constexpr unsigned kMaxGroupLanes = 16;
 
+/** True when the group's lanes carry a control register. */
+bool
+groupFactored(const policy::TableLanes& tables)
+{
+    return tables[0].controlTouch != nullptr;
+}
+
 /**
  * Raw per-lane pointers of one lane group, hoisted once. Groups are
- * packed element-width-homogeneous (all-narrow or all-wide), so the
- * hot loop is templated on State and never re-tests narrow() per
- * lane per access.
+ * packed element-width-homogeneous (all-narrow or all-wide) and
+ * shape-homogeneous (all-monolithic or all-factored), so the hot loop
+ * is templated on both and never re-tests them per lane per access.
  */
 template <typename State>
 struct GroupLanes
@@ -83,9 +90,15 @@ struct GroupLanes
     const State* touch[kMaxGroupLanes] = {};
     const State* fill[kMaxGroupLanes] = {};
     const uint16_t* victim[kMaxGroupLanes] = {};
+    // Factored lanes only: the control rows and the offset of the
+    // core's alternative fill rows.
+    const uint32_t* ctlTouch[kMaxGroupLanes] = {};
+    const uint32_t* ctlFill[kMaxGroupLanes] = {};
+    std::size_t altOffset[kMaxGroupLanes] = {};
 
     explicit GroupLanes(const policy::TableLanes& tables)
     {
+        const bool factored = groupFactored(tables);
         for (std::size_t l = 0; l < tables.size(); ++l) {
             if constexpr (std::is_same_v<State, uint16_t>) {
                 touch[l] = tables[l].touch16;
@@ -96,23 +109,59 @@ struct GroupLanes
             }
             ensure(touch[l] != nullptr && fill[l] != nullptr,
                    "multi_kernel: lane group mixes table widths");
+            ensure((tables[l].controlTouch != nullptr) == factored,
+                   "multi_kernel: lane group mixes table shapes");
             victim[l] = tables[l].victim;
+            ctlTouch[l] = tables[l].controlTouch;
+            ctlFill[l] = tables[l].controlFill;
+            altOffset[l] = tables[l].altOffset;
         }
     }
 };
+
+/**
+ * One lane's policy update after an access resolved to way @p w:
+ * the core state through the touch or fill row, and for factored
+ * lanes the control register, whose fill row also picks the core's
+ * insertion variant. Branch-free (selects only), like the rest of the
+ * lockstep update.
+ */
+template <typename State, bool kFactored>
+inline void
+stepLane(const GroupLanes<State>& g, unsigned l, bool hit,
+         std::size_t row, uint32_t w, uint32_t& st, uint32_t& ctl)
+{
+    const State* tbl = hit ? g.touch[l] : g.fill[l];
+    if constexpr (kFactored) {
+        const uint32_t packed = g.ctlFill[l][ctl];
+        const uint32_t touched = g.ctlTouch[l][ctl];
+        const std::size_t variant =
+            hit ? 0 : (packed & 1) * g.altOffset[l];
+        ctl = hit ? touched : packed >> 1;
+        st = tbl[variant + row + w];
+    } else {
+        (void)ctl;
+        st = tbl[row + w];
+    }
+}
 
 /** Mutable structure-of-arrays state of one lane group. */
 struct GroupState
 {
     std::vector<uint32_t> tags;   ///< [set][way][lane], 0 = empty
     std::vector<uint32_t> state;  ///< [set][lane] policy state
+    std::vector<uint32_t> control; ///< [set][lane] if factored
     std::vector<uint16_t> filled; ///< [set][lane] fill cursor
     std::array<uint64_t, kMaxGroupLanes> hits{};
     std::array<uint64_t, kMaxGroupLanes> evictions{};
 
-    GroupState(unsigned numSets, unsigned ways, unsigned lanes)
+    GroupState(unsigned numSets, unsigned ways, unsigned lanes,
+               bool factored)
         : tags(static_cast<std::size_t>(numSets) * ways * lanes, 0),
           state(static_cast<std::size_t>(numSets) * lanes, 0),
+          control(factored ? static_cast<std::size_t>(numSets) * lanes
+                           : 0,
+                  0),
           filled(static_cast<std::size_t>(numSets) * lanes, 0)
     {}
 };
@@ -131,7 +180,8 @@ struct GroupState
  * unique per block, ways fill bottom-up, the zeroed tags of ways >=
  * filled never match a real id.
  */
-template <typename State, unsigned kLanes, unsigned kFixedWays>
+template <typename State, unsigned kLanes, unsigned kFixedWays,
+          bool kFactored>
 void
 lockstepLoop(const uint32_t* __restrict sets,
              const uint32_t* __restrict ids, std::size_t n,
@@ -144,15 +194,20 @@ lockstepLoop(const uint32_t* __restrict sets,
     const unsigned ways = kFixedWays ? kFixedWays : waysRT;
     uint32_t* __restrict tags = gs.tags.data();
     uint32_t* __restrict state = gs.state.data();
+    uint32_t* __restrict control = gs.control.data();
     uint16_t* __restrict filled = gs.filled.data();
     const std::size_t rowStride =
         static_cast<std::size_t>(ways) * kLanes;
+    uint32_t unusedControl[kLanes] = {};
 
     for (std::size_t a = 0; a < n; ++a) {
         const uint32_t set = sets[a];
         const uint32_t id = ids[a];
         uint32_t* rowTags = tags + set * rowStride;
         uint32_t* st = state + static_cast<std::size_t>(set) * kLanes;
+        uint32_t* ct =
+            kFactored ? control + static_cast<std::size_t>(set) * kLanes
+                      : unusedControl;
         uint16_t* fl = filled + static_cast<std::size_t>(set) * kLanes;
 
         // Lane-parallel scan for the matching way; ways is the
@@ -205,68 +260,64 @@ lockstepLoop(const uint32_t* __restrict sets,
                 static_cast<uint64_t>(!hit && f == ways);
             fl[l] = static_cast<uint16_t>(
                 f + static_cast<unsigned>(!hit && f < ways));
-            const State* tbl = hit ? g.touch[l] : g.fill[l];
-            st[l] = tbl[row + w];
+            stepLane<State, kFactored>(g, l, hit, row, w, st[l], ct[l]);
         }
     }
 }
 
-template <typename State, unsigned kFixedWays>
+template <typename State, unsigned kFixedWays, bool kFactored>
 void
 runLockstep(const uint32_t* sets, const uint32_t* ids, std::size_t n,
             unsigned ways, unsigned lanes, const GroupLanes<State>& g,
             GroupState& gs)
 {
+    const auto loop = [&](auto width) {
+        lockstepLoop<State, decltype(width)::value, kFixedWays,
+                     kFactored>(sets, ids, n, ways, g, gs);
+    };
     switch (lanes) {
     case 16:
-        lockstepLoop<State, 16, kFixedWays>(sets, ids, n, ways, g,
-                                            gs);
-        break;
+        return loop(std::integral_constant<unsigned, 16>{});
     case 8:
-        lockstepLoop<State, 8, kFixedWays>(sets, ids, n, ways, g, gs);
-        break;
+        return loop(std::integral_constant<unsigned, 8>{});
     case 4:
-        lockstepLoop<State, 4, kFixedWays>(sets, ids, n, ways, g, gs);
-        break;
+        return loop(std::integral_constant<unsigned, 4>{});
     case 2:
-        lockstepLoop<State, 2, kFixedWays>(sets, ids, n, ways, g, gs);
-        break;
+        return loop(std::integral_constant<unsigned, 2>{});
     case 1:
-        lockstepLoop<State, 1, kFixedWays>(sets, ids, n, ways, g, gs);
-        break;
+        return loop(std::integral_constant<unsigned, 1>{});
     default:
         throw UsageError("multi_kernel: unsupported lane width " +
                          std::to_string(lanes));
     }
 }
 
-template <typename State>
+template <typename State, bool kFactored>
 void
 runLockstepWays(const uint32_t* sets, const uint32_t* ids,
                 std::size_t n, unsigned ways, unsigned lanes,
                 const GroupLanes<State>& g, GroupState& gs)
 {
+    const auto run = [&](auto fixedWays) {
+        runLockstep<State, decltype(fixedWays)::value, kFactored>(
+            sets, ids, n, ways, lanes, g, gs);
+    };
     switch (ways) {
     case 2:
-        runLockstep<State, 2>(sets, ids, n, ways, lanes, g, gs);
-        break;
+        return run(std::integral_constant<unsigned, 2>{});
     case 4:
-        runLockstep<State, 4>(sets, ids, n, ways, lanes, g, gs);
-        break;
+        return run(std::integral_constant<unsigned, 4>{});
     case 8:
-        runLockstep<State, 8>(sets, ids, n, ways, lanes, g, gs);
-        break;
+        return run(std::integral_constant<unsigned, 8>{});
     case 16:
-        runLockstep<State, 16>(sets, ids, n, ways, lanes, g, gs);
-        break;
+        return run(std::integral_constant<unsigned, 16>{});
     default:
-        runLockstep<State, 0>(sets, ids, n, ways, lanes, g, gs);
-        break;
+        return run(std::integral_constant<unsigned, 0>{});
     }
 }
 
-/** Width-dispatching driver over a homogeneous (all-narrow or
- *  all-wide) lane group. */
+/** Width- and shape-dispatching driver over a homogeneous lane group
+ *  (all-narrow or all-wide, all-monolithic or all-factored). */
 void
 runGroupLoop(const DecodedTrace& decoded, unsigned ways,
              const policy::TableLanes& tables, GroupState& gs)
@@ -274,15 +325,23 @@ runGroupLoop(const DecodedTrace& decoded, unsigned ways,
     require(ways < 64,
             "multi_kernel: lockstep groups support < 64 ways");
     const unsigned width = static_cast<unsigned>(tables.size());
+    const auto run = [&](auto state, auto factored) {
+        using State = decltype(state);
+        const GroupLanes<State> g(tables);
+        runLockstepWays<State, decltype(factored)::value>(
+            decoded.sets().data(), decoded.ids().data(),
+            decoded.size(), ways, width, g, gs);
+    };
     const bool narrow = tables[0].touch16 != nullptr;
-    if (narrow) {
-        const GroupLanes<uint16_t> g(tables);
-        runLockstepWays(decoded.sets().data(), decoded.ids().data(),
-                        decoded.size(), ways, width, g, gs);
+    if (groupFactored(tables)) {
+        if (narrow)
+            run(uint16_t{}, std::true_type{});
+        else
+            run(uint32_t{}, std::true_type{});
+    } else if (narrow) {
+        run(uint16_t{}, std::false_type{});
     } else {
-        const GroupLanes<uint32_t> g(tables);
-        runLockstepWays(decoded.sets().data(), decoded.ids().data(),
-                        decoded.size(), ways, width, g, gs);
+        run(uint32_t{}, std::false_type{});
     }
 }
 
@@ -329,8 +388,13 @@ std::size_t
 tableFootprint(const policy::CompiledTable& table)
 {
     const std::size_t elem = table.narrow() ? 2 : 4;
+    // A factored core has two fill rows per state, plus the control
+    // register's two rows.
+    const std::size_t rows = table.factored() ? 3 : 2;
     return static_cast<std::size_t>(table.numStates()) *
-           (static_cast<std::size_t>(table.ways()) * elem * 2 + 2);
+               (static_cast<std::size_t>(table.ways()) * elem * rows +
+                2) +
+           static_cast<std::size_t>(table.controlStates()) * 8;
 }
 
 cache::LevelStats
@@ -406,16 +470,18 @@ simulateMultiPolicy(const DecodedTrace& decoded,
 
     // Lanes of the same policy share one table; packing them into
     // the same group keeps the state-indexed table working set of a
-    // group minimal. Groups are also element-width-homogeneous so
-    // the hot loop can be templated on the table element type. Sort
-    // by (narrow, spec) — stable and deterministic; lane results are
+    // group minimal. Groups are also element-width- and
+    // shape-homogeneous so the hot loop can be templated on the table
+    // element type and on the control register. Sort by (narrow,
+    // factored, spec) — stable and deterministic; lane results are
     // scattered back by index, so order cannot change any result.
+    const auto groupKey = [&](std::size_t i) {
+        return 2 * !tables[i]->narrow() + tables[i]->factored();
+    };
     std::stable_sort(compiledIdx.begin(), compiledIdx.end(),
                      [&](std::size_t a, std::size_t b) {
-                         const bool na = tables[a]->narrow();
-                         const bool nb = tables[b]->narrow();
-                         if (na != nb)
-                             return na > nb;
+                         if (groupKey(a) != groupKey(b))
+                             return groupKey(a) < groupKey(b);
                          return specs[a] < specs[b];
                      });
 
@@ -451,13 +517,12 @@ simulateMultiPolicy(const DecodedTrace& decoded,
                 tables[run.back()].get() != tables[i].get();
             const std::size_t add =
                 newTable ? tableFootprint(*tables[i]) : 0;
-            const bool mixesWidth =
-                !run.empty() && tables[run.front()]->narrow() !=
-                                    tables[i]->narrow();
+            const bool mixes =
+                !run.empty() && groupKey(run.front()) != groupKey(i);
             const bool overBudget =
                 !run.empty() && newTable &&
                 runBytes + add > kGroupTableBudget;
-            if (mixesWidth || overBudget)
+            if (mixes || overBudget)
                 flushRun();
             run.push_back(i);
             runBytes += run.size() == 1
@@ -492,7 +557,8 @@ simulateMultiPolicy(const DecodedTrace& decoded,
         const unsigned width =
             static_cast<unsigned>(group.laneIdx.size());
 
-        GroupState gs(geom.numSets, geom.ways, width);
+        GroupState gs(geom.numSets, geom.ways, width,
+                      groupFactored(lanes));
         runGroupLoop(decoded, geom.ways, lanes, gs);
 
         for (unsigned l = 0; l < group.active; ++l) {
@@ -517,9 +583,11 @@ simulateMultiPolicy(const DecodedTrace& decoded,
                                 l]);
                     image.valid[w] = true;
                 }
+                const std::size_t at =
+                    static_cast<std::size_t>(set) * width + l;
                 image.policyKey = lanes.table(l)->stateKey(
-                    gs.state[static_cast<std::size_t>(set) * width +
-                             l]);
+                    gs.state[at],
+                    gs.control.empty() ? 0 : gs.control[at]);
                 out.finalImage.push_back(std::move(image));
             }
         }
@@ -602,7 +670,7 @@ namespace
  * keep stepping (their flag is monotone), matching the per-candidate
  * SetModel replay bit-for-bit.
  */
-template <typename State, unsigned kLanes>
+template <typename State, unsigned kLanes, bool kFactored>
 void
 matchLoop(const uint32_t* seqIds, std::size_t n, unsigned ways,
           const GroupLanes<State>& g, const uint8_t* observedHits,
@@ -611,6 +679,7 @@ matchLoop(const uint32_t* seqIds, std::size_t n, unsigned ways,
     std::vector<uint32_t> tags(
         static_cast<std::size_t>(ways) * kLanes, 0);
     uint32_t st[kLanes] = {};
+    uint32_t ct[kLanes] = {};
     uint16_t fl[kLanes] = {};
     for (unsigned l = 0; l < kLanes; ++l)
         match[l] = 1;
@@ -654,8 +723,7 @@ matchLoop(const uint32_t* seqIds, std::size_t n, unsigned ways,
             tags[static_cast<std::size_t>(w) * kLanes + l] = id;
             fl[l] = static_cast<uint16_t>(
                 f + static_cast<unsigned>(!hit && f < ways));
-            const State* tbl = hit ? g.touch[l] : g.fill[l];
-            st[l] = tbl[row + w];
+            stepLane<State, kFactored>(g, l, hit, row, w, st[l], ct[l]);
             if (determined[j] &&
                 hit != static_cast<bool>(observedHits[j]))
                 match[l] = 0;
@@ -663,41 +731,36 @@ matchLoop(const uint32_t* seqIds, std::size_t n, unsigned ways,
     }
 }
 
-template <typename State>
+template <typename State, bool kFactored>
 void
 runMatch(const uint32_t* seqIds, std::size_t n, unsigned ways,
          unsigned lanes, const GroupLanes<State>& g,
          const uint8_t* observedHits, const uint8_t* determined,
          char* match)
 {
+    const auto loop = [&](auto width) {
+        matchLoop<State, decltype(width)::value, kFactored>(
+            seqIds, n, ways, g, observedHits, determined, match);
+    };
     switch (lanes) {
     case 16:
-        matchLoop<State, 16>(seqIds, n, ways, g, observedHits,
-                             determined, match);
-        break;
+        return loop(std::integral_constant<unsigned, 16>{});
     case 8:
-        matchLoop<State, 8>(seqIds, n, ways, g, observedHits,
-                            determined, match);
-        break;
+        return loop(std::integral_constant<unsigned, 8>{});
     case 4:
-        matchLoop<State, 4>(seqIds, n, ways, g, observedHits,
-                            determined, match);
-        break;
+        return loop(std::integral_constant<unsigned, 4>{});
     case 2:
-        matchLoop<State, 2>(seqIds, n, ways, g, observedHits,
-                            determined, match);
-        break;
+        return loop(std::integral_constant<unsigned, 2>{});
     case 1:
-        matchLoop<State, 1>(seqIds, n, ways, g, observedHits,
-                            determined, match);
-        break;
+        return loop(std::integral_constant<unsigned, 1>{});
     default:
         throw UsageError("multi_kernel: unsupported lane width " +
                          std::to_string(lanes));
     }
 }
 
-/** Width-dispatching match driver over one homogeneous group. */
+/** Width- and shape-dispatching match driver over one homogeneous
+ *  group. */
 void
 runMatchGroup(const uint32_t* seqIds, std::size_t n, unsigned ways,
               const policy::TableLanes& tables,
@@ -707,14 +770,23 @@ runMatchGroup(const uint32_t* seqIds, std::size_t n, unsigned ways,
     require(ways < 64,
             "multi_kernel: lockstep groups support < 64 ways");
     const unsigned width = static_cast<unsigned>(tables.size());
-    if (tables[0].touch16 != nullptr) {
-        const GroupLanes<uint16_t> g(tables);
-        runMatch(seqIds, n, ways, width, g, observedHits, determined,
-                 match);
+    const auto run = [&](auto state, auto factored) {
+        using State = decltype(state);
+        const GroupLanes<State> g(tables);
+        runMatch<State, decltype(factored)::value>(
+            seqIds, n, ways, width, g, observedHits, determined,
+            match);
+    };
+    const bool narrow = tables[0].touch16 != nullptr;
+    if (groupFactored(tables)) {
+        if (narrow)
+            run(uint16_t{}, std::true_type{});
+        else
+            run(uint32_t{}, std::true_type{});
+    } else if (narrow) {
+        run(uint16_t{}, std::false_type{});
     } else {
-        const GroupLanes<uint32_t> g(tables);
-        runMatch(seqIds, n, ways, width, g, observedHits, determined,
-                 match);
+        run(uint32_t{}, std::false_type{});
     }
 }
 
@@ -778,12 +850,16 @@ matchObservationMultiPolicy(unsigned ways,
         std::vector<std::size_t> laneIdx;
         unsigned active = 0; ///< real lanes; the rest is padding
     };
-    // Width-homogeneous groups: narrow lanes first, then wide, each
-    // chunked independently (same invariant as simulateMultiPolicy).
-    std::stable_partition(compiledIdx.begin(), compiledIdx.end(),
-                          [&](std::size_t i) {
-                              return lanes[i].table->narrow();
-                          });
+    // Width- and shape-homogeneous groups, each chunked
+    // independently (same invariant as simulateMultiPolicy).
+    const auto groupKey = [&](std::size_t i) {
+        return 2 * !lanes[i].table->narrow() +
+               lanes[i].table->factored();
+    };
+    std::stable_sort(compiledIdx.begin(), compiledIdx.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return groupKey(a) < groupKey(b);
+                     });
     std::vector<Group> groups;
     {
         std::vector<std::size_t> run;
@@ -804,8 +880,7 @@ matchObservationMultiPolicy(unsigned ways,
             run.clear();
         };
         for (const std::size_t i : compiledIdx) {
-            if (!run.empty() && lanes[run.front()].table->narrow() !=
-                                    lanes[i].table->narrow())
+            if (!run.empty() && groupKey(run.front()) != groupKey(i))
                 flushRun();
             run.push_back(i);
         }

@@ -22,10 +22,13 @@
  *    all lanes, and each lane keeps only its own integer policy
  *    state and fill cursor on top of its slice of the group's tag
  *    rows, stepping its hoisted uint16 (or uint32) transition table
- *    (policy::TableLanes);
- *  - lanes whose policies exceed the compile budget fall back to
- *    the interpreted cache::Cache inside the same driver, so the
- *    result vector stays total over the requested specs.
+ *    (policy::TableLanes); lanes on a factored table (core plus
+ *    control register) also keep one control register per set and
+ *    run in groups of their own, so monolithic groups keep the plain
+ *    inner loop;
+ *  - lanes whose policies have no table fall back to the
+ *    interpreted cache::Cache inside the same driver, so the result
+ *    vector stays total over the requested specs.
  *
  * Lane groups and fallback lanes are sharded across the shared
  * TaskPool. Results are bit-identical to per-policy

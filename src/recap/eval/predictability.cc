@@ -48,14 +48,16 @@ gameKey(const SetModel& m, BlockId target)
     return key;
 }
 
-/** Compile @p proto under the exploration budget of @p cfg. */
+/** Compile @p proto under the exploration budget of @p cfg; nullptr
+ *  unless the table is monolithic (the metrics walk its state set). */
 policy::CompiledTablePtr
 compileForMetric(const policy::ReplacementPolicy& proto,
                  const PredictabilityConfig& cfg)
 {
     policy::CompileBudget budget;
     budget.maxStates = cfg.maxStates;
-    return policy::compilePolicy(proto, budget);
+    auto table = policy::compilePolicy(proto, budget);
+    return table && !table->factored() ? table : nullptr;
 }
 
 /**

@@ -107,10 +107,17 @@ Hierarchy::Hierarchy(const hw::MachineSpec& spec, uint64_t seed,
             return p;
         };
 
-        if (!opts.forceInterpreted) {
-            lvl.tableA = policy::compiledTableFor(
-                lvl_spec.policySpec, lvl.ways, opts.budget);
-        }
+        // Factored tables (a control register next to the core) are
+        // not walked here: such constituents keep the interpreted
+        // per-set policies, like an over-budget one.
+        const auto monolithic = [&](const std::string& policySpec) {
+            auto table = policy::compiledTableFor(policySpec, lvl.ways,
+                                                  opts.budget);
+            return table && !table->factored() ? table : nullptr;
+        };
+
+        if (!opts.forceInterpreted)
+            lvl.tableA = monolithic(lvl_spec.policySpec);
         if (lvl.tableA) {
             lvl.ptrA = hoist(*lvl.tableA);
             lvl.stateA.assign(sets, 0);
@@ -137,10 +144,8 @@ Hierarchy::Hierarchy(const hw::MachineSpec& spec, uint64_t seed,
             lvl.pselMax = (1u << lvl.duel.pselBits) - 1;
             lvl.psel = (lvl.pselMax + 1) / 2;
 
-            if (!opts.forceInterpreted) {
-                lvl.tableB = policy::compiledTableFor(
-                    lvl_spec.policySpecB, lvl.ways, opts.budget);
-            }
+            if (!opts.forceInterpreted)
+                lvl.tableB = monolithic(lvl_spec.policySpecB);
             if (lvl.tableB) {
                 lvl.ptrB = hoist(*lvl.tableB);
                 lvl.stateB.assign(sets, 0);

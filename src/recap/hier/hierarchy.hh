@@ -16,11 +16,11 @@
  * bitmask scans and table lookups only.
  *
  * The subsystem is *hybrid* per level and per constituent policy:
- * a policy whose reachable state space exceeds the compile budget
- * (LRU at k = 12, NRU at k = 24, the stochastic "random" policy...)
- * falls back to one interpreted automaton per set, with identical
- * seeds, while its sibling levels — and, in an adaptive level, the
- * sibling duel policy — stay compiled. Behaviour is bit-identical to
+ * a policy without a monolithic table (LRU at k = 12, NRU at
+ * k = 24, the stochastic "random" policy, and the factored BIP/DIP
+ * family at 8 ways) falls back to one interpreted automaton per set,
+ * with identical seeds, while its sibling levels — and, in an
+ * adaptive level, the sibling duel policy — stay compiled. Behaviour is bit-identical to
  * the interpreted cache::Hierarchy either way; tests/test_hier*.cc
  * pin the equivalence per access, per counter, and per tag image.
  *
@@ -159,11 +159,14 @@ class Hierarchy
 
     /**
      * True iff every constituent policy of level @p level runs on a
-     * compiled table (no interpreted fallback).
+     * compiled table (no interpreted fallback). Only monolithic
+     * tables count: a constituent that compiles factored (bip, brrip,
+     * dip, drrip at 8 ways and up; see policy/compiled.hh) runs on
+     * interpreted per-set policies here.
      */
     bool levelCompiled(unsigned level) const;
 
-    /** True iff every level is fully compiled. */
+    /** True iff every level is fully compiled (see levelCompiled). */
     bool fullyCompiled() const;
 
   private:

@@ -3,14 +3,12 @@
  * Compiled replacement-policy automata: the interpreter-free fast
  * path of the simulation stack.
  *
- * Every policy in the catalog is a deterministic finite automaton
- * (that is the paper's whole premise), yet the interpreted
- * ReplacementPolicy interface pays a virtual touch/fill/victim
- * dispatch plus unique_ptr clone churn on every simulated access.
- * compilePolicy() enumerates the reachable control states of a policy
- * (breadth-first over ReplacementPolicy::stateKey, the same
- * canonicalization the learn:: extraction machinery builds on) into
- * dense state x input -> state transition tables:
+ * The interpreted ReplacementPolicy interface pays a virtual
+ * touch/fill/victim dispatch plus unique_ptr clone churn on every
+ * simulated access. compilePolicy() enumerates the reachable control
+ * states of a policy (breadth-first over ReplacementPolicy::stateKey,
+ * the same canonicalization the learn:: extraction machinery builds
+ * on) into dense state x input -> state transition tables:
  *
  *     touchNext[state * ways + w]  state after a hit on way w
  *     fillNext [state * ways + w]  state after filling way w
@@ -20,12 +18,27 @@
  * an integer copy, and the batch kernels in eval/ and query/ can keep
  * per-set state in structure-of-arrays form.
  *
- * Policies whose reachable state space exceeds the budget (the
- * stochastic "random" policy, whose stateKey encodes an unbounded
- * stream position; big way-order policies such as LRU at k = 16)
- * simply fail to compile: compilePolicy() returns nullptr and every
- * consumer falls back to the interpreted automaton, with behaviour
- * pinned bit-identical by tests/test_compiled_policy.cc.
+ * What gets enumerated depends on the policy's PolicyShape:
+ *
+ *  - kMonolithic: the policy itself, as one automaton.
+ *  - kFactored (BIP, BRRIP, DIP, DRRIP; see factored.hh): the core
+ *    and the control automaton apart. When core x control states fit
+ *    the budget, their reachable product is the monolithic table
+ *    above, with the same ids, victims and keys as enumerating the
+ *    policy whole. Otherwise the table stays factored: the core's
+ *    fill rows come in two insertion variants, and every simulated
+ *    set steps one control register next to its core state, taking
+ *    the variant from the control's fill row. Identical cores are
+ *    enumerated once per process and shared between tables.
+ *  - kNotFinite ("random"): nothing is enumerated; compilePolicy()
+ *    returns nullptr.
+ *
+ * Policies whose state space exceeds the budget (big way-order
+ * policies such as LRU at k = 16) also fail to compile: every
+ * consumer then falls back to the interpreted automaton, with
+ * behaviour pinned bit-identical by tests/test_compiled_policy.cc.
+ * Analyses that need an explicit state set (sec::, predictability,
+ * CompiledTableView) take monolithic tables only.
  *
  * The enumeration runs in two-phase rounds over the BFS frontier:
  * successor keys are derived and probed against a flat intern table
@@ -52,63 +65,132 @@ struct CompileBudget
 {
     /**
      * Abort compilation beyond this many control states (inclusive:
-     * exactly maxStates states still compile). At k = 8 the default
-     * falls back for random (unbounded stream counter), bip and brrip
-     * (the throttle multiplies the base state count), slru, and the
-     * dueling dip, drrip and dip:4,3,4 (PSEL x epoch product);
-     * drrip:1,4,3,4 (130 740 states) and every other deterministic
-     * catalog policy compiles. ship/eaf consume metadata and never
-     * compile. PLRU and NRU compile up to k = 16; NRU at 24, the two
-     * catalog QLRU variants at 12 and LRU-order policies at 16 (16!
-     * states) fall back.
+     * exactly maxStates states still compile). A factored policy is
+     * enumerated as one monolithic table when core x control states
+     * is at most maxStates (and its four-byte pair index fits
+     * maxTableBytes); otherwise its core and its control automaton
+     * must each fit maxStates on their own.
+     *
+     * At k = 8 the default falls back only for slru (too many
+     * states), ship and eaf (they consume metadata and never
+     * compile) and random (not finite: never enumerated). bip, brrip,
+     * dip, drrip and dip:4,3,4 compile factored over the 40 320-state
+     * recency core or the 65 536-state 2-bit RRPV core; drrip:1,4,3,4
+     * (130 740 states) and every other deterministic catalog policy
+     * compiles whole. PLRU and NRU compile up to k = 16; NRU at 24,
+     * the two catalog QLRU variants at 12, LRU-order policies at 16
+     * (16! states) and the bip/dip (12! recency) and brrip/drrip
+     * (4^12 RRPV) cores at 12 fall back.
      * tests/test_compiled_policy.cc pins each of these outcomes.
      */
     uint64_t maxStates = 1u << 17;
 
-    /** Abort when the transition tables plus state keys would
-     *  exceed this many bytes (inclusive, like maxStates). */
+    /**
+     * Abort when the transition tables plus state keys would exceed
+     * this many bytes (inclusive, like maxStates). For a factored
+     * table that is the core's tables (three k-wide rows per state)
+     * and keys plus the control's two rows and keys, in total.
+     */
     uint64_t maxTableBytes = uint64_t{96} << 20;
 };
+
+namespace detail
+{
+struct TableArrays;
+struct TableBuilder;
+} // namespace detail
 
 /**
  * Immutable transition tables of one compiled policy. State 0 is the
  * post-reset state; states are numbered in BFS order (ascending
  * touch-then-fill edge exploration), so compiling the same policy
  * twice yields identical tables.
+ *
+ * A factored() table holds the core automaton in the state-indexed
+ * arrays (numStates() counts core states) plus a control register:
+ * a hit steps it by controlTouch(), a fill by controlFill(), whose
+ * low bit picks the insertion variant of the core's fill row. The
+ * control register, like the core state, starts at 0.
  */
 class CompiledTable
 {
   public:
     unsigned ways() const { return ways_; }
+
+    /** States of the way-level automaton: the core's, if factored. */
     uint32_t numStates() const { return numStates_; }
 
     /** name() of the policy this table was compiled from. */
     const std::string& policyName() const { return policyName_; }
 
+    /** True when a control register runs next to the core state. */
+    bool factored() const { return !controlTouch_.empty(); }
+
     uint32_t touchNext(uint32_t state, Way way) const
     {
-        return touchNext_[static_cast<std::size_t>(state) * ways_ +
-                          way];
+        return touch_[static_cast<std::size_t>(state) * ways_ + way];
     }
 
-    uint32_t fillNext(uint32_t state, Way way) const
+    /** State after filling @p way; a factored core takes insertion
+     *  variant @p alt (monolithic tables ignore it). */
+    uint32_t fillNext(uint32_t state, Way way, bool alt = false) const
     {
-        return fillNext_[static_cast<std::size_t>(state) * ways_ +
-                         way];
+        return fill_[(alt ? altOffset_ : 0) +
+                     static_cast<std::size_t>(state) * ways_ + way];
     }
 
     Way victim(uint32_t state) const { return victim_[state]; }
 
-    /** Interpreted stateKey() of @p state (bit-exact passthrough). */
+    /** Interpreted stateKey() of @p state (bit-exact passthrough);
+     *  the core's key alone for a factored table. */
     const std::string& stateKey(uint32_t state) const
     {
         return keys_[state];
     }
 
-    /** Raw table base pointers for the batch kernels' inner loops. */
-    const uint32_t* touchData() const { return touchNext_.data(); }
-    const uint32_t* fillData() const { return fillNext_.data(); }
-    const uint16_t* victimData() const { return victim_.data(); }
+    /** Interpreted stateKey() of core @p state with control register
+     *  @p control (ignored when not factored). */
+    std::string stateKey(uint32_t state, uint32_t control) const;
+
+    /** Control states (0 when not factored). */
+    uint32_t controlStates() const
+    {
+        return static_cast<uint32_t>(controlTouch_.size());
+    }
+
+    /** Control register after a hit. */
+    uint32_t controlTouch(uint32_t control) const
+    {
+        return controlTouch_[control];
+    }
+
+    /** Control register after a fill, shifted left by one, with the
+     *  fill's insertion variant in bit 0. */
+    uint32_t controlFill(uint32_t control) const
+    {
+        return controlFill_[control];
+    }
+
+    /** Interpreted stateKey() of the control automaton. */
+    const std::string& controlKey(uint32_t control) const
+    {
+        return controlKeys_[control];
+    }
+
+    /** Raw table base pointers for the batch kernels' inner loops.
+     *  The fill arrays hold insertion variant 1 at altOffset(). */
+    const uint32_t* touchData() const { return touch_; }
+    const uint32_t* fillData() const { return fill_; }
+    const uint16_t* victimData() const { return victim_; }
+    std::size_t altOffset() const { return altOffset_; }
+    const uint32_t* controlTouchData() const
+    {
+        return controlTouch_.data();
+    }
+    const uint32_t* controlFillData() const
+    {
+        return controlFill_.data();
+    }
 
     /**
      * True when the automaton has at most 2^16 states; the narrow
@@ -117,23 +199,30 @@ class CompiledTable
      * each and state-indexed lookups thrash L2, while the narrow
      * mirrors keep both tables resident.
      */
-    bool narrow() const { return !touchNext16_.empty(); }
-    const uint16_t* touchData16() const { return touchNext16_.data(); }
-    const uint16_t* fillData16() const { return fillNext16_.data(); }
+    bool narrow() const { return touch16_ != nullptr; }
+    const uint16_t* touchData16() const { return touch16_; }
+    const uint16_t* fillData16() const { return fill16_; }
 
   private:
-    friend std::shared_ptr<const CompiledTable>
-    compilePolicy(const ReplacementPolicy&, const CompileBudget&);
+    friend struct detail::TableBuilder;
 
     unsigned ways_ = 0;
     uint32_t numStates_ = 0;
     std::string policyName_;
-    std::vector<uint32_t> touchNext_;
-    std::vector<uint32_t> fillNext_;
-    std::vector<uint16_t> victim_;
-    std::vector<std::string> keys_;
-    std::vector<uint16_t> touchNext16_;
-    std::vector<uint16_t> fillNext16_;
+    // The arrays live in a shared block: every factored table built
+    // on the same core reads one copy. The raw pointers below are
+    // hoisted out of it once.
+    std::shared_ptr<const detail::TableArrays> arrays_;
+    const uint32_t* touch_ = nullptr;
+    const uint32_t* fill_ = nullptr;
+    const uint16_t* victim_ = nullptr;
+    const std::string* keys_ = nullptr;
+    const uint16_t* touch16_ = nullptr;
+    const uint16_t* fill16_ = nullptr;
+    std::size_t altOffset_ = 0;
+    std::vector<uint32_t> controlTouch_;
+    std::vector<uint32_t> controlFill_;
+    std::vector<std::string> controlKeys_;
 };
 
 /** Shared, immutable handle: one table serves any number of sets. */
@@ -145,12 +234,13 @@ using CompiledTablePtr = std::shared_ptr<const CompiledTable>;
  * keeps the shared table alive and exposes exactly the transition
  * and victim lookups plus the canonical derived states every
  * analysis needs, so consumers neither re-compile nor reach into
- * CompiledTable internals.
+ * CompiledTable internals. Only monolithic tables have the explicit
+ * state set these analyses walk.
  */
 class CompiledTableView
 {
   public:
-    /** @throws UsageError when @p table is null. */
+    /** @throws UsageError when @p table is null or factored. */
     explicit CompiledTableView(CompiledTablePtr table);
 
     unsigned ways() const { return table_->ways(); }
@@ -214,7 +304,8 @@ class TableLanes
 {
   public:
     /** Raw table pointers of one lane. Exactly one of the
-     *  touch16/touch32 pairs is non-null (likewise fill). */
+     *  touch16/touch32 pairs is non-null (likewise fill); the control
+     *  pointers are non-null for a factored table only. */
     struct Lane
     {
         const uint16_t* touch16 = nullptr;
@@ -222,6 +313,9 @@ class TableLanes
         const uint32_t* touch32 = nullptr;
         const uint32_t* fill32 = nullptr;
         const uint16_t* victim = nullptr;
+        const uint32_t* controlTouch = nullptr;
+        const uint32_t* controlFill = nullptr;
+        std::size_t altOffset = 0;
         uint32_t numStates = 0;
     };
 
@@ -260,14 +354,17 @@ class TableLanes
  * Enumerates the reachable control states of @p proto (closed under
  * every touch(w)/fill(w) input, so the table is total even for fill
  * patterns only adaptive caches produce) and builds its transition
- * tables. Large frontiers are probed in parallel on sharedPool()
- * (inline when called from a pool worker); @p proto's clone(),
- * touch(), fill(), victim() and stateKey() must therefore be safe to
- * call on distinct clones from several threads at once, as every
- * ReplacementPolicy in the tree is.
+ * tables; a kFactored policy's core and control automaton are
+ * enumerated apart (see the file comment). Large frontiers are
+ * probed in parallel on sharedPool() (inline when called from a pool
+ * worker); the clone(), touch(), fill(), victim() and stateKey() of
+ * @p proto and of its factorization() parts must therefore be safe
+ * to call on distinct clones from several threads at once, as every
+ * policy in the tree is.
  *
- * @return nullptr when the state space exceeds @p budget — the
- *         caller must keep using the interpreted policy.
+ * @return nullptr when the state space exceeds @p budget, the policy
+ *         consumes metadata or is not finite — the caller must keep
+ *         using the interpreted policy.
  */
 CompiledTablePtr compilePolicy(const ReplacementPolicy& proto,
                                const CompileBudget& budget = {});
@@ -283,7 +380,8 @@ CompiledTablePtr compilePolicy(const ReplacementPolicy& proto,
  * waiting on a compile that itself waits for that pool to go idle
  * (compilePolicy fans out on sharedPool()) would deadlock.
  * Only deterministic policies compile, so the factory seed is
- * irrelevant to the result; "random" misses the budget by design.
+ * irrelevant to the result; "random" is not finite and returns
+ * nullptr without enumerating.
  */
 CompiledTablePtr compiledTableFor(const std::string& spec,
                                   unsigned ways,
@@ -291,9 +389,10 @@ CompiledTablePtr compiledTableFor(const std::string& spec,
 
 /**
  * Drop-in ReplacementPolicy running on a compiled table: state is one
- * integer, clone() copies no vectors, and name()/stateKey() are
- * bit-exact passthroughs of the source policy so every stateKey-based
- * consumer (equivalence checker, predictability exploration, learn::
+ * integer (two on a factored table: core and control register),
+ * clone() copies no vectors, and name()/stateKey() are bit-exact
+ * passthroughs of the source policy so every stateKey-based consumer
+ * (equivalence checker, predictability exploration, learn::
  * extraction) behaves identically on the compiled form.
  */
 class CompiledPolicy : public ReplacementPolicy
@@ -301,12 +400,18 @@ class CompiledPolicy : public ReplacementPolicy
   public:
     explicit CompiledPolicy(CompiledTablePtr table);
 
-    void reset() override { state_ = 0; }
+    void reset() override
+    {
+        state_ = 0;
+        control_ = 0;
+    }
 
     void touch(Way way) override
     {
         checkWay(way);
         state_ = table_->touchNext(state_, way);
+        if (table_->factored())
+            control_ = table_->controlTouch(control_);
     }
 
     Way victim() const override { return table_->victim(state_); }
@@ -314,7 +419,13 @@ class CompiledPolicy : public ReplacementPolicy
     void fill(Way way) override
     {
         checkWay(way);
-        state_ = table_->fillNext(state_, way);
+        bool alt = false;
+        if (table_->factored()) {
+            const uint32_t packed = table_->controlFill(control_);
+            control_ = packed >> 1;
+            alt = (packed & 1) != 0;
+        }
+        state_ = table_->fillNext(state_, way, alt);
     }
 
     std::string name() const override { return table_->policyName(); }
@@ -326,18 +437,19 @@ class CompiledPolicy : public ReplacementPolicy
 
     std::string stateKey() const override
     {
-        return table_->stateKey(state_);
+        return table_->stateKey(state_, control_);
     }
 
     /** The shared table this instance runs on. */
     const CompiledTablePtr& table() const { return table_; }
 
-    /** Current control state as a table index. */
+    /** Current (core) state as a table index. */
     uint32_t stateIndex() const { return state_; }
 
   private:
     CompiledTablePtr table_;
     uint32_t state_ = 0;
+    uint32_t control_ = 0;
 };
 
 /**

@@ -7,19 +7,16 @@ namespace recap::policy
 
 DipPolicy::DipPolicy(unsigned ways, unsigned throttle,
                      unsigned pselBits, unsigned epochLen)
-    : RecencyStackPolicy(ways), throttle_(throttle),
-      duel_(pselBits, epochLen)
+    : RecencyStackPolicy(ways), control_(throttle, pselBits, epochLen)
 {
     require(ways >= 2, "DipPolicy: needs at least 2 ways");
-    require(throttle >= 1, "DipPolicy: throttle must be >= 1");
 }
 
 void
 DipPolicy::reset()
 {
     RecencyStackPolicy::reset();
-    fillCount_ = 0;
-    duel_.reset();
+    control_.reset();
 }
 
 void
@@ -27,29 +24,16 @@ DipPolicy::touch(Way way)
 {
     checkWay(way);
     moveToMru(way);
-    duel_.advance();
+    control_.touch();
 }
 
 void
 DipPolicy::fill(Way way)
 {
     checkWay(way);
-    // Train first: the miss is attributed to the constituent that
-    // governed the epoch it occurred in.
-    const DuelMode mode = duel_.mode();
-    duel_.onMiss(mode);
-
-    const bool bip = mode == DuelMode::kLeaderB ||
-                     (mode == DuelMode::kFollower &&
-                      duel_.followerPicksB());
-    if (!bip || fillCount_ == 0)
-        moveToMru(way);
-    else
-        moveToLru(way);
-    // The BIP throttle counter runs on every fill so constituent B's
-    // behaviour matches a free-standing BipPolicy.
-    fillCount_ = (fillCount_ + 1) % throttle_;
-    duel_.advance();
+    // Constituent A (LRU) inserts at MRU; constituent B (BIP) at LRU
+    // except for its 1-in-throttle MRU fill.
+    insert(way, control_.fill());
 }
 
 PolicyPtr
@@ -61,8 +45,16 @@ DipPolicy::clone() const
 std::string
 DipPolicy::stateKey() const
 {
-    return RecencyStackPolicy::stateKey() + ":" +
-           std::to_string(fillCount_) + ":" + duel_.key();
+    return RecencyStackPolicy::stateKey() + ":" + control_.stateKey();
+}
+
+Factorization
+DipPolicy::factorization() const
+{
+    Factorization parts{std::make_unique<RecencyCore>(ways_),
+                        control_.clone()};
+    parts.control->reset();
+    return parts;
 }
 
 } // namespace recap::policy

@@ -10,7 +10,7 @@
 #ifndef RECAP_POLICY_DIP_HH_
 #define RECAP_POLICY_DIP_HH_
 
-#include "recap/policy/duel.hh"
+#include "recap/policy/factored.hh"
 #include "recap/policy/lru.hh"
 
 namespace recap::policy
@@ -20,7 +20,8 @@ namespace recap::policy
  * DIP over a single recency stack. Hits promote to MRU regardless of
  * the duel; only the insertion point of a fill is contested:
  * constituent A inserts at MRU (LRU policy), constituent B inserts
- * LIP-style at LRU except for every throttle-th fill (BIP).
+ * LIP-style at LRU except for every throttle-th fill (BIP). Factored:
+ * a DuelControl over a RecencyCore.
  *
  * Defaults are sized for tractability of the compiled enumeration at
  * low associativity rather than to the paper's 10-bit PSEL: the
@@ -51,16 +52,22 @@ class DipPolicy final : public RecencyStackPolicy
     std::string name() const override { return "DIP"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    PolicyShape shape() const override { return PolicyShape::kFactored; }
+    Factorization factorization() const override;
 
     /** White-box accessors for the convergence property tests. */
-    unsigned psel() const { return duel_.psel(); }
-    unsigned pselMidpoint() const { return duel_.pselMidpoint(); }
-    bool followerPicksBip() const { return duel_.followerPicksB(); }
+    unsigned psel() const { return control_.duel().psel(); }
+    unsigned pselMidpoint() const
+    {
+        return control_.duel().pselMidpoint();
+    }
+    bool followerPicksBip() const
+    {
+        return control_.duel().followerPicksB();
+    }
 
   private:
-    unsigned throttle_;
-    unsigned fillCount_ = 0;
-    TemporalDuel duel_;
+    DuelControl control_;
 };
 
 } // namespace recap::policy

@@ -8,50 +8,32 @@ namespace recap::policy
 DrripPolicy::DrripPolicy(unsigned ways, unsigned bits,
                          unsigned throttle, unsigned pselBits,
                          unsigned epochLen)
-    : SrripPolicy(ways, bits), throttle_(throttle),
-      duel_(pselBits, epochLen)
+    : SrripPolicy(ways, bits), control_(throttle, pselBits, epochLen)
 {
     require(ways >= 2, "DrripPolicy: needs at least 2 ways");
-    require(throttle >= 1, "DrripPolicy: throttle must be >= 1");
 }
 
 void
 DrripPolicy::reset()
 {
     SrripPolicy::reset();
-    fillCount_ = 0;
-    duel_.reset();
+    control_.reset();
 }
 
 void
 DrripPolicy::touch(Way way)
 {
     SrripPolicy::touch(way);
-    duel_.advance();
+    control_.touch();
 }
 
 void
 DrripPolicy::fill(Way way)
 {
     checkWay(way);
-    const DuelMode mode = duel_.mode();
-    duel_.onMiss(mode);
-
-    const bool brrip = mode == DuelMode::kLeaderB ||
-                       (mode == DuelMode::kFollower &&
-                        duel_.followerPicksB());
     // SRRIP constituent inserts long; BRRIP inserts distant except
-    // for the 1-in-throttle long insert. The throttle counter runs on
-    // every fill so constituent B matches a free-standing
-    // BrripPolicy.
-    unsigned rrpv = maxRrpv_ == 0 ? 0 : maxRrpv_ - 1;
-    if (brrip && fillCount_ != 0)
-        rrpv = maxRrpv_;
-    fillCount_ = (fillCount_ + 1) % throttle_;
-
-    ageUntilVictimExists();
-    rrpv_[way] = rrpv;
-    duel_.advance();
+    // for the 1-in-throttle long insert.
+    insert(way, control_.fill() ? maxRrpv_ : maxRrpv_ - 1);
 }
 
 std::string
@@ -69,8 +51,16 @@ DrripPolicy::clone() const
 std::string
 DrripPolicy::stateKey() const
 {
-    return SrripPolicy::stateKey() + ":" +
-           std::to_string(fillCount_) + ":" + duel_.key();
+    return SrripPolicy::stateKey() + ":" + control_.stateKey();
+}
+
+Factorization
+DrripPolicy::factorization() const
+{
+    Factorization parts{std::make_unique<RrpvCore>(ways_, bits_),
+                        control_.clone()};
+    parts.control->reset();
+    return parts;
 }
 
 } // namespace recap::policy

@@ -8,7 +8,7 @@
 #ifndef RECAP_POLICY_DRRIP_HH_
 #define RECAP_POLICY_DRRIP_HH_
 
-#include "recap/policy/duel.hh"
+#include "recap/policy/factored.hh"
 #include "recap/policy/rrip.hh"
 
 namespace recap::policy
@@ -19,12 +19,13 @@ namespace recap::policy
  * SRRIP-HP unchanged; only the insertion RRPV of a fill is
  * contested: constituent A inserts long (max-1, SRRIP), constituent B
  * inserts distant (max) except for every throttle-th fill (BRRIP).
+ * Factored: a DuelControl over an RrpvCore.
  *
  * State space: (maxRrpv+1)^ways * throttle * 2^pselBits * 4*epochLen
- * — tractable at 2 ways with default parameters, beyond the default
- * CompileBudget at 4+ ways, where DRRIP exercises the interpreted
- * fallback. epochLen must stay small relative to the PSEL range
- * (see DipPolicy).
+ * — enumerated whole at 2 ways with default parameters, compiled
+ * in factored form (core and control apart) from 4 ways on.
+ * epochLen must stay small relative to the PSEL range (see
+ * DipPolicy).
  */
 class DrripPolicy final : public SrripPolicy
 {
@@ -46,16 +47,22 @@ class DrripPolicy final : public SrripPolicy
     std::string name() const override;
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    PolicyShape shape() const override { return PolicyShape::kFactored; }
+    Factorization factorization() const override;
 
     /** White-box accessors for the convergence property tests. */
-    unsigned psel() const { return duel_.psel(); }
-    unsigned pselMidpoint() const { return duel_.pselMidpoint(); }
-    bool followerPicksBrrip() const { return duel_.followerPicksB(); }
+    unsigned psel() const { return control_.duel().psel(); }
+    unsigned pselMidpoint() const
+    {
+        return control_.duel().pselMidpoint();
+    }
+    bool followerPicksBrrip() const
+    {
+        return control_.duel().followerPicksB();
+    }
 
   private:
-    unsigned throttle_;
-    unsigned fillCount_ = 0;
-    TemporalDuel duel_;
+    DuelControl control_;
 };
 
 } // namespace recap::policy

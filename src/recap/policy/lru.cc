@@ -46,6 +46,16 @@ RecencyStackPolicy::stateKey() const
 }
 
 void
+RecencyStackPolicy::insert(Way way, bool atLru)
+{
+    checkWay(way);
+    if (atLru)
+        moveToLru(way);
+    else
+        moveToMru(way);
+}
+
+void
 RecencyStackPolicy::moveToMru(Way way)
 {
     auto it = std::find(stack_.begin(), stack_.end(), way);
@@ -78,8 +88,7 @@ LruPolicy::LruPolicy(unsigned ways)
 void
 LruPolicy::fill(Way way)
 {
-    checkWay(way);
-    moveToMru(way);
+    insert(way, false);
 }
 
 PolicyPtr
@@ -95,8 +104,7 @@ LipPolicy::LipPolicy(unsigned ways)
 void
 LipPolicy::fill(Way way)
 {
-    checkWay(way);
-    moveToLru(way);
+    insert(way, true);
 }
 
 PolicyPtr
@@ -106,29 +114,23 @@ LipPolicy::clone() const
 }
 
 BipPolicy::BipPolicy(unsigned ways, unsigned throttle)
-    : RecencyStackPolicy(ways), throttle_(throttle)
-{
-    require(throttle >= 1, "BipPolicy: throttle must be >= 1");
-}
+    : RecencyStackPolicy(ways), control_(throttle)
+{}
 
 void
 BipPolicy::reset()
 {
     RecencyStackPolicy::reset();
-    fillCount_ = 0;
+    control_.reset();
 }
 
 void
 BipPolicy::fill(Way way)
 {
-    checkWay(way);
     // The 1-in-throttle fill gets full retention priority; all others
     // are inserted as immediate eviction candidates.
-    if (fillCount_ == 0)
-        moveToMru(way);
-    else
-        moveToLru(way);
-    fillCount_ = (fillCount_ + 1) % throttle_;
+    checkWay(way);
+    insert(way, control_.fill());
 }
 
 PolicyPtr
@@ -140,8 +142,14 @@ BipPolicy::clone() const
 std::string
 BipPolicy::stateKey() const
 {
-    return RecencyStackPolicy::stateKey() + ":" +
-           std::to_string(fillCount_);
+    return RecencyStackPolicy::stateKey() + ":" + control_.stateKey();
+}
+
+Factorization
+BipPolicy::factorization() const
+{
+    return {std::make_unique<RecencyCore>(ways_),
+            std::make_unique<ThrottleControl>(control_.throttle())};
 }
 
 } // namespace recap::policy

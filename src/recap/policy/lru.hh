@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "recap/policy/factored.hh"
 #include "recap/policy/policy.hh"
 
 namespace recap::policy
@@ -33,6 +34,9 @@ class RecencyStackPolicy : public ReplacementPolicy
 
     /** Exposes the current recency order (index 0 = MRU) for tests. */
     std::vector<Way> recencyOrder() const { return stack_; }
+
+    /** Installs @p way at the MRU position, or at LRU if @p atLru. */
+    void insert(Way way, bool atLru);
 
   protected:
     /** Moves @p way to the MRU position. */
@@ -75,9 +79,34 @@ class LipPolicy final : public RecencyStackPolicy
 };
 
 /**
- * BIP: like LIP, but every epsilon-th fill inserts at MRU instead.
- * recap uses a deterministic 1-in-throttle counter rather than a coin
- * flip so that experiments are reproducible.
+ * The recency-stack core of the factored BIP and DIP: hits and
+ * primary fills go to MRU, alternative fills to LRU.
+ */
+class RecencyCore final : public CoreAutomaton
+{
+  public:
+    explicit RecencyCore(unsigned ways) : stack_(ways) {}
+
+    std::string name() const override { return "recency"; }
+    unsigned ways() const override { return stack_.ways(); }
+    void reset() override { stack_.reset(); }
+    void touch(Way way) override { stack_.touch(way); }
+    void fill(Way way, bool alt) override { stack_.insert(way, alt); }
+    Way victim() const override { return stack_.victim(); }
+    std::string stateKey() const override { return stack_.stateKey(); }
+
+    std::unique_ptr<CoreAutomaton> clone() const override
+    {
+        return std::make_unique<RecencyCore>(*this);
+    }
+
+  private:
+    LruPolicy stack_;
+};
+
+/**
+ * BIP: like LIP, but every throttle-th fill inserts at MRU instead
+ * (a ThrottleControl over a RecencyCore; factored).
  */
 class BipPolicy final : public RecencyStackPolicy
 {
@@ -94,12 +123,13 @@ class BipPolicy final : public RecencyStackPolicy
     std::string name() const override { return "BIP"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    PolicyShape shape() const override { return PolicyShape::kFactored; }
+    Factorization factorization() const override;
 
-    unsigned throttle() const { return throttle_; }
+    unsigned throttle() const { return control_.throttle(); }
 
   private:
-    unsigned throttle_;
-    unsigned fillCount_ = 0;
+    ThrottleControl control_;
 };
 
 } // namespace recap::policy

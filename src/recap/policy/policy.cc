@@ -1,6 +1,7 @@
 #include "recap/policy/policy.hh"
 
 #include "recap/common/error.hh"
+#include "recap/policy/factored.hh"
 
 namespace recap::policy
 {
@@ -15,6 +16,13 @@ void
 ReplacementPolicy::checkWay(Way way) const
 {
     require(way < ways_, "ReplacementPolicy: way index out of range");
+}
+
+Factorization
+ReplacementPolicy::factorization() const
+{
+    throw UsageError("ReplacementPolicy: " + name() +
+                     " is not a factored policy");
 }
 
 } // namespace recap::policy

@@ -26,6 +26,24 @@ namespace recap::policy
 /** Index of a way within one cache set. */
 using Way = unsigned;
 
+struct Factorization;
+
+/**
+ * How a policy's state space is built, for table compilation
+ * (policy/compiled.hh).
+ */
+enum class PolicyShape
+{
+    /** One automaton, enumerated as a whole (the default). */
+    kMonolithic,
+    /** A way-level core times a way-blind control automaton; see
+     *  policy/factored.hh. */
+    kFactored,
+    /** No finite automaton exists (e.g. a seeded random stream):
+     *  compilation gives up without enumerating. */
+    kNotFinite,
+};
+
 /**
  * Optional side information about the access currently being applied
  * to the automaton.
@@ -113,6 +131,18 @@ class ReplacementPolicy
      * default implementation ignores it.
      */
     virtual void beginAccess(const AccessMeta& meta) { (void)meta; }
+
+    /** How the state space is built; see PolicyShape. */
+    virtual PolicyShape shape() const
+    {
+        return PolicyShape::kMonolithic;
+    }
+
+    /**
+     * The core and control parts of a kFactored policy, both reset.
+     * @throws UsageError for any other shape.
+     */
+    virtual Factorization factorization() const;
 
   protected:
     /** Throws UsageError unless 0 <= way < ways(). */

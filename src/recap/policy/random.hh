@@ -34,6 +34,12 @@ class RandomPolicy final : public ReplacementPolicy
     PolicyPtr clone() const override;
     std::string stateKey() const override;
 
+    /** The stream position grows without bound: never enumerated. */
+    PolicyShape shape() const override
+    {
+        return PolicyShape::kNotFinite;
+    }
+
   private:
     uint64_t seed_;
     Rng rng_;

@@ -1,6 +1,7 @@
 #include "recap/policy/rrip.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "recap/common/error.hh"
 
@@ -55,9 +56,16 @@ void
 SrripPolicy::fill(Way way)
 {
     checkWay(way);
+    insert(way, insertionRrpv());
+}
+
+void
+SrripPolicy::insert(Way way, unsigned rrpv)
+{
+    checkWay(way);
     // Commit the aging victim() modelled, then insert.
     ageUntilVictimExists();
-    rrpv_[way] = insertionRrpv();
+    rrpv_[way] = rrpv;
 }
 
 std::string
@@ -111,17 +119,28 @@ SrripPolicy::findVictim(const std::vector<unsigned>& rrpv) const
     return ways_;
 }
 
-BrripPolicy::BrripPolicy(unsigned ways, unsigned bits, unsigned throttle)
-    : SrripPolicy(ways, bits), throttle_(throttle)
+std::string
+RrpvCore::name() const
 {
-    require(throttle >= 1, "BrripPolicy: throttle must be >= 1");
+    return "rrpv" + std::to_string(std::bit_width(rrip_.maxRrpv()));
 }
+
+void
+RrpvCore::fill(Way way, bool alt)
+{
+    const unsigned max = rrip_.maxRrpv();
+    rrip_.insert(way, alt ? max : max - 1);
+}
+
+BrripPolicy::BrripPolicy(unsigned ways, unsigned bits, unsigned throttle)
+    : SrripPolicy(ways, bits), control_(throttle)
+{}
 
 void
 BrripPolicy::reset()
 {
     SrripPolicy::reset();
-    fillCount_ = 0;
+    control_.reset();
 }
 
 std::string
@@ -139,7 +158,14 @@ BrripPolicy::clone() const
 std::string
 BrripPolicy::stateKey() const
 {
-    return SrripPolicy::stateKey() + ":" + std::to_string(fillCount_);
+    return SrripPolicy::stateKey() + ":" + control_.stateKey();
+}
+
+Factorization
+BrripPolicy::factorization() const
+{
+    return {std::make_unique<RrpvCore>(ways_, bits_),
+            std::make_unique<ThrottleControl>(control_.throttle())};
 }
 
 unsigned
@@ -147,10 +173,7 @@ BrripPolicy::insertionRrpv()
 {
     // The 1-in-throttle fill gets the "long" prediction, all others
     // the "distant" one.
-    const unsigned rrpv = (fillCount_ == 0 && maxRrpv_ > 0)
-        ? maxRrpv_ - 1 : maxRrpv_;
-    fillCount_ = (fillCount_ + 1) % throttle_;
-    return rrpv;
+    return control_.fill() ? maxRrpv_ : maxRrpv_ - 1;
 }
 
 } // namespace recap::policy

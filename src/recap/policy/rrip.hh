@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "recap/policy/factored.hh"
 #include "recap/policy/policy.hh"
 
 namespace recap::policy
@@ -47,6 +48,10 @@ class SrripPolicy : public ReplacementPolicy
     /** Raw RRPVs, for white-box tests. */
     std::vector<unsigned> rrpvs() const { return rrpv_; }
 
+    /** Commits the aging victim() models, then installs @p way with
+     *  RRPV @p rrpv (at most maxRrpv()). */
+    void insert(Way way, unsigned rrpv);
+
   protected:
     /** RRPV a fill assigns to the incoming line. */
     virtual unsigned insertionRrpv();
@@ -63,9 +68,36 @@ class SrripPolicy : public ReplacementPolicy
 };
 
 /**
+ * The RRPV core of the factored BRRIP and DRRIP: SRRIP-HP hits and
+ * victims; primary fills insert "long" (max-1), alternative fills
+ * "distant" (max).
+ */
+class RrpvCore final : public CoreAutomaton
+{
+  public:
+    RrpvCore(unsigned ways, unsigned bits) : rrip_(ways, bits) {}
+
+    std::string name() const override;
+    unsigned ways() const override { return rrip_.ways(); }
+    void reset() override { rrip_.reset(); }
+    void touch(Way way) override { rrip_.touch(way); }
+    void fill(Way way, bool alt) override;
+    Way victim() const override { return rrip_.victim(); }
+    std::string stateKey() const override { return rrip_.stateKey(); }
+
+    std::unique_ptr<CoreAutomaton> clone() const override
+    {
+        return std::make_unique<RrpvCore>(*this);
+    }
+
+  private:
+    SrripPolicy rrip_;
+};
+
+/**
  * BRRIP: like SRRIP but inserts with distant RRPV (max) most of the
  * time and long RRPV (max-1) only every throttle-th fill, making it
- * thrash-resistant. Deterministic counter, as with BipPolicy.
+ * thrash-resistant (a ThrottleControl over an RrpvCore; factored).
  */
 class BrripPolicy final : public SrripPolicy
 {
@@ -77,13 +109,14 @@ class BrripPolicy final : public SrripPolicy
     std::string name() const override;
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    PolicyShape shape() const override { return PolicyShape::kFactored; }
+    Factorization factorization() const override;
 
   protected:
     unsigned insertionRrpv() override;
 
   private:
-    unsigned throttle_;
-    unsigned fillCount_ = 0;
+    ThrottleControl control_;
 };
 
 } // namespace recap::policy

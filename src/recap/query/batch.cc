@@ -34,12 +34,14 @@ constexpr unsigned kFastWays = 16;
 
 /**
  * Plain-data stand-in for policy::SetModel over a compiled table:
- * inline block array, integer policy state, fill cursor. Copying one
- * (the snapshot at a trie branch) is a memcpy instead of a policy
- * clone, and access() is two array lookups. Mirrors SetModel::access
+ * inline block array, integer policy state (plus the control
+ * register of a factored table), fill cursor. Copying one (the
+ * snapshot at a trie branch) is a memcpy instead of a policy clone,
+ * and access() is two array lookups. Mirrors SetModel::access
  * exactly: fills take the lowest invalid way — always the fill
  * cursor, since only flush() ever invalidates — then the victim.
  */
+template <bool kFactored>
 class FastSetModel
 {
   public:
@@ -50,6 +52,7 @@ class FastSetModel
     void flush()
     {
         state_ = 0;
+        control_ = 0;
         filled_ = 0;
     }
 
@@ -60,6 +63,8 @@ class FastSetModel
         for (unsigned w = 0; w < filled_; ++w) {
             if (blocks_[w] == block) {
                 state_ = table_->touchData()[row + w];
+                if constexpr (kFactored)
+                    control_ = table_->controlTouchData()[control_];
                 return true;
             }
         }
@@ -69,7 +74,13 @@ class FastSetModel
         else
             way = table_->victimData()[state_];
         blocks_[way] = block;
-        state_ = table_->fillData()[row + way];
+        std::size_t variant = 0;
+        if constexpr (kFactored) {
+            const uint32_t packed = table_->controlFillData()[control_];
+            control_ = packed >> 1;
+            variant = (packed & 1) * table_->altOffset();
+        }
+        state_ = table_->fillData()[variant + row + way];
         return false;
     }
 
@@ -77,6 +88,7 @@ class FastSetModel
     const policy::CompiledTable* table_;
     std::array<BlockId, kFastWays> blocks_{};
     uint32_t state_ = 0;
+    uint32_t control_ = 0;
     uint32_t filled_ = 0;
 };
 
@@ -197,9 +209,13 @@ batchEvaluateSnapshot(PolicyOracle& oracle,
     // branch-point snapshots are memcpys instead of policy clones.
     const policy::CompiledTablePtr table =
         opts.compiledKernel ? oracle.compiledTable() : nullptr;
-    if (table && table->ways() <= kFastWays) {
+    if (table && table->ways() <= kFastWays && table->factored()) {
         parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
-            walkSubtree(trie, roots[r], FastSetModel(*table));
+            walkSubtree(trie, roots[r], FastSetModel<true>(*table));
+        });
+    } else if (table && table->ways() <= kFastWays) {
+        parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
+            walkSubtree(trie, roots[r], FastSetModel<false>(*table));
         });
     } else {
         parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {

@@ -270,8 +270,9 @@ class PolicyOracle : public QueryOracle
     policy::SetModel freshModel() const;
 
     /**
-     * The prototype compiled to a transition table, or nullptr when
-     * its state space exceeds the default budget (then callers use
+     * The prototype compiled to a transition table (possibly
+     * factored: see policy::CompiledTable), or nullptr when it does
+     * not compile under the default budget (then callers use
      * freshModel()). Compiled lazily on first call and cached for
      * the oracle's lifetime.
      */

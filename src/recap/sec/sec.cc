@@ -23,10 +23,11 @@ std::optional<policy::CompiledTableView>
 viewForSpec(const std::string& spec, unsigned ways,
             const SecBudget& budget)
 {
-    if (auto table =
-            policy::compiledTableFor(spec, ways, budget.compile))
-        return policy::CompiledTableView(std::move(table));
-    return std::nullopt;
+    // A factored table has no explicit state set to search.
+    auto table = policy::compiledTableFor(spec, ways, budget.compile);
+    if (!table || table->factored())
+        return std::nullopt;
+    return policy::CompiledTableView(std::move(table));
 }
 
 } // namespace recap::sec

@@ -138,10 +138,11 @@ TEST(CatalogRoster, ModernSpecsAreRegistered)
 }
 
 /**
- * Pinned compile outcomes for the dueling automata: which (spec,
- * ways) pairs fit the differential suite's budget, and at exactly
- * how many states. A drift here means the state encoding changed —
- * deliberate changes update the pins, accidents get caught.
+ * Pinned compile outcomes for the dueling automata under the
+ * differential suite's budget: whether each (spec, ways) pair
+ * compiles whole or factored, and at exactly how many states. A
+ * drift here means the state encoding changed — deliberate changes
+ * update the pins, accidents get caught.
  */
 TEST(CatalogRoster, ModernCompileOutcomesArePinned)
 {
@@ -149,28 +150,25 @@ TEST(CatalogRoster, ModernCompileOutcomesArePinned)
     {
         const char* spec;
         unsigned ways;
-        unsigned states; // 0 = must fall back
+        unsigned states;  // whole table, or the factored core
+        unsigned control; // control states; 0 = monolithic
     };
     const Pin pins[] = {
-        {"dip", 2, 8192},          {"dip", 4, 0},
-        {"dip", 8, 0},             {"drrip", 2, 48512},
-        {"drrip", 4, 0},           {"drrip", 8, 0},
-        {"dip:4,3,4", 2, 1024},    {"dip:4,3,4", 4, 12288},
-        {"dip:4,3,4", 8, 0},       {"drrip:1,4,3,4", 2, 1716},
-        {"drrip:1,4,3,4", 4, 7860}, {"drrip:1,4,3,4", 8, 0},
+        {"dip", 2, 8192, 0},          {"dip", 4, 24, 4096},
+        {"dip", 8, 40320, 4096},      {"drrip", 2, 48512, 0},
+        {"drrip", 4, 255, 4096},      {"drrip", 8, 65535, 4096},
+        {"dip:4,3,4", 2, 1024, 0},    {"dip:4,3,4", 4, 12288, 0},
+        {"dip:4,3,4", 8, 40320, 512}, {"drrip:1,4,3,4", 2, 1716, 0},
+        {"drrip:1,4,3,4", 4, 7860, 0}, {"drrip:1,4,3,4", 8, 256, 512},
     };
     for (const Pin& pin : pins) {
         const CompiledTablePtr table =
             compiledTableFor(pin.spec, pin.ways, testBudget(pin.ways));
-        if (pin.states == 0) {
-            EXPECT_EQ(table, nullptr)
-                << pin.spec << " k=" << pin.ways;
-        } else {
-            ASSERT_NE(table, nullptr)
-                << pin.spec << " k=" << pin.ways;
-            EXPECT_EQ(table->numStates(), pin.states)
-                << pin.spec << " k=" << pin.ways;
-        }
+        ASSERT_NE(table, nullptr) << pin.spec << " k=" << pin.ways;
+        EXPECT_EQ(table->numStates(), pin.states)
+            << pin.spec << " k=" << pin.ways;
+        EXPECT_EQ(table->controlStates(), pin.control)
+            << pin.spec << " k=" << pin.ways;
     }
     // Default budget admits the 2-way duelers too.
     EXPECT_NE(compiledTableFor("dip", 2, {}), nullptr);

@@ -7,22 +7,33 @@
  * back cleanly when the state space exceeds the compile budget. The
  * tables themselves are pinned by digest, so a faster enumeration
  * cannot renumber states or move the over-budget line unnoticed.
+ * FactoredTable.* holds the factored form (core table plus control
+ * register) to the interpreted policies, to the monolithic tables
+ * and to cache::Cache through every simulation kernel.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "recap/cache/cache.hh"
 #include "recap/common/parallel.hh"
 #include "recap/common/rng.hh"
+#include "recap/eval/kernel.hh"
+#include "recap/eval/multi_kernel.hh"
 #include "recap/policy/compiled.hh"
+#include "recap/policy/factored.hh"
 #include "recap/policy/factory.hh"
+#include "recap/policy/set_model.hh"
+#include "recap/trace/generators.hh"
 
 namespace recap::policy
 {
@@ -115,7 +126,7 @@ TEST_P(CompiledDifferential, CloneResetFillFuzz)
     const CompiledTablePtr table =
         compiledTableFor(spec, ways, testBudget());
     if (!table)
-        GTEST_SKIP() << spec << " exceeds the compile budget";
+        GTEST_SKIP() << spec << " has no compiled table at 4 ways";
 
     PolicyPtr interpreted = makePolicy(spec, ways);
     PolicyPtr compiled = std::make_unique<CompiledPolicy>(table);
@@ -182,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CompiledFallback, OverBudgetFallsBack)
 {
     // Stochastic policy: its state key encodes an unbounded RNG
-    // draw counter, so enumeration can never terminate in budget.
+    // draw counter, so it declares itself not finite.
     EXPECT_EQ(compiledTableFor("random", 8, testBudget()), nullptr);
 
     // Deliberately tiny budget: true LRU at 4 ways has 4! = 24
@@ -241,8 +252,11 @@ TEST(CompiledFallback, RejectsInvalidSpecs)
 /**
  * FNV-1a (64-bit) over a whole table in state-id order: per state the
  * touchNext row, the fillNext row (4 little-endian bytes per entry),
- * the victim (2 bytes), then the stateKey length (8 bytes) and bytes.
- * Equal digests mean equal ids, transitions, victims and keys.
+ * the alternative fillNext row of a factored core, the victim (2
+ * bytes), then the stateKey length (8 bytes) and bytes; a factored
+ * table then adds, per control state, its touch and fill entries and
+ * its key the same way. Equal digests mean equal ids, transitions,
+ * victims and keys.
  */
 uint64_t
 tableDigest(const CompiledTable& table)
@@ -261,15 +275,25 @@ tableDigest(const CompiledTable& table)
             bytes[i] = static_cast<unsigned char>(value >> (8 * i));
         mix(bytes, size);
     };
+    const auto mixKey = [&](const std::string& key) {
+        mixWord(key.size(), 8);
+        mix(key.data(), key.size());
+    };
     for (uint32_t s = 0; s < table.numStates(); ++s) {
         for (unsigned w = 0; w < table.ways(); ++w)
             mixWord(table.touchNext(s, w), 4);
         for (unsigned w = 0; w < table.ways(); ++w)
             mixWord(table.fillNext(s, w), 4);
+        if (table.factored())
+            for (unsigned w = 0; w < table.ways(); ++w)
+                mixWord(table.fillNext(s, w, true), 4);
         mixWord(table.victim(s), 2);
-        const std::string& key = table.stateKey(s);
-        mixWord(key.size(), 8);
-        mix(key.data(), key.size());
+        mixKey(table.stateKey(s));
+    }
+    for (uint32_t q = 0; q < table.controlStates(); ++q) {
+        mixWord(table.controlTouch(q), 4);
+        mixWord(table.controlFill(q), 4);
+        mixKey(table.controlKey(q));
     }
     return h;
 }
@@ -280,6 +304,7 @@ struct TablePin
     unsigned ways;
     uint32_t states; ///< 0 = over the default budget (nullptr)
     uint64_t digest;
+    uint32_t control = 0; ///< control states; 0 = monolithic
 };
 
 /**
@@ -287,7 +312,10 @@ struct TablePin
  * plain serial BFS (state, then touch 0..k-1, then fill 0..k-1):
  * every catalogSpecs() entry at 2, 4 and 8 ways, then the wide
  * automata the Intel hierarchies compile (PLRU/NRU at 16, NRU at 24,
- * QLRU at 12). ship/eaf consume metadata and never compile.
+ * QLRU at 12). ship/eaf consume metadata and never compile; random
+ * is not finite. Rows with a control count are factored tables (core
+ * states, core-plus-control digest); every monolithic row predates
+ * the factored form unchanged.
  */
 const TablePin kTablePins[] = {
     {"lru", 2, 2, 0xd5ead3e7df8b9282ULL},
@@ -323,7 +351,7 @@ const TablePin kTablePins[] = {
     {"qlru:H1,M1,R0,U2", 4, 256, 0x2f366e6358b229aaULL},
     {"qlru:H1,M3,R0,U2", 4, 256, 0x0f3a390139b8a735ULL},
     {"dip", 4, 98304, 0x4d6ddefd2be22705ULL},
-    {"drrip", 4, 0, 0},
+    {"drrip", 4, 255, 0xc064e066ddb3ae0dULL, 4096},
     {"ship", 4, 0, 0},
     {"eaf", 4, 0, 0},
     {"dip:4,3,4", 4, 12288, 0xb84a6e5be3cb36e7ULL},
@@ -335,17 +363,17 @@ const TablePin kTablePins[] = {
     {"nru", 8, 256, 0x5b7fa80da358709eULL},
     {"random", 8, 0, 0},
     {"lip", 8, 40320, 0xd63b7ca271b7a8a1ULL},
-    {"bip", 8, 0, 0},
+    {"bip", 8, 40320, 0xf6acc86b2a418f4aULL, 32},
     {"srrip", 8, 65281, 0x1c9f718931779ddbULL},
-    {"brrip", 8, 0, 0},
+    {"brrip", 8, 65535, 0x7776bec61968909cULL, 32},
     {"slru", 8, 0, 0},
     {"qlru:H1,M1,R0,U2", 8, 65536, 0x763c67b920b2a89eULL},
     {"qlru:H1,M3,R0,U2", 8, 65536, 0x41c6621e12804c9bULL},
-    {"dip", 8, 0, 0},
-    {"drrip", 8, 0, 0},
+    {"dip", 8, 40320, 0xe3cd93863ea43dbcULL, 4096},
+    {"drrip", 8, 65535, 0xb357b105f74f738aULL, 4096},
     {"ship", 8, 0, 0},
     {"eaf", 8, 0, 0},
-    {"dip:4,3,4", 8, 0, 0},
+    {"dip:4,3,4", 8, 40320, 0x7eec3859b48b0acbULL, 512},
     {"drrip:1,4,3,4", 8, 130740, 0x6d3a6c1253599d49ULL},
     {"plru", 16, 32768, 0x5b6fdee181db740dULL},
     {"nru", 16, 65536, 0x5bd42febc6a4682eULL},
@@ -372,6 +400,8 @@ checkTablePins(unsigned ways)
         }
         ASSERT_NE(table, nullptr) << pin.spec << " k=" << pin.ways;
         EXPECT_EQ(table->numStates(), pin.states)
+            << pin.spec << " k=" << pin.ways;
+        EXPECT_EQ(table->controlStates(), pin.control)
             << pin.spec << " k=" << pin.ways;
         EXPECT_EQ(tableDigest(*table), pin.digest)
             << pin.spec << " k=" << pin.ways;
@@ -464,6 +494,341 @@ TEST(CompiledTablePins, SameTableOnAndOffThePool)
     other.join();
     EXPECT_EQ(here, pinned);
     EXPECT_EQ(concurrent, pinned);
+}
+
+// --- Factored tables ---------------------------------------------------
+
+/** The factored specs of the catalog. */
+const char* const kFactoredSpecs[] = {"bip", "brrip", "dip", "drrip",
+                                      "dip:4,3,4"};
+
+/**
+ * Core x control states of each factored spec at 4 ways: a budget of
+ * the larger part keeps both parts but not their product, so the
+ * table compiles factored where the default budget would enumerate
+ * the product whole.
+ */
+CompileBudget
+factoredBudget(const std::string& spec, unsigned ways)
+{
+    CompileBudget budget;
+    if (ways != 4)
+        return budget; // default: factored at 8 ways
+    unsigned control = 32;                  // bip, brrip throttle
+    if (spec == "dip" || spec == "drrip")
+        control = 16 * 16 * 16;             // throttle x PSEL x epoch
+    else if (spec == "dip:4,3,4")
+        control = 4 * 8 * 16;
+    // 4! recency orders, or 4^4 2-bit RRPV vectors.
+    const bool recency = spec == "bip" || spec.rfind("dip", 0) == 0;
+    const unsigned core = recency ? 24 : 256;
+    budget.maxStates = std::max(core, control);
+    return budget;
+}
+
+CompiledTablePtr
+factoredTable(const std::string& spec, unsigned ways)
+{
+    return compilePolicy(*makePolicy(spec, ways),
+                         factoredBudget(spec, ways));
+}
+
+/**
+ * 100k seeded touch/fill inputs over every way, comparing victim()
+ * and stateKey() after every step: the core plus control register
+ * is the interpreted policy.
+ */
+TEST(FactoredTable, FuzzMatchesInterpreted)
+{
+    for (const char* spec : kFactoredSpecs) {
+        for (const unsigned ways : {4u, 8u}) {
+            const CompiledTablePtr table = factoredTable(spec, ways);
+            ASSERT_NE(table, nullptr) << spec << " k=" << ways;
+            ASSERT_TRUE(table->factored()) << spec << " k=" << ways;
+            EXPECT_EQ(makePolicy(spec, ways)->shape(),
+                      PolicyShape::kFactored);
+
+            CompiledPolicy compiled(table);
+            PolicyPtr interpreted = makePolicy(spec, ways);
+            Rng rng(0xFAC7 + ways);
+            for (unsigned step = 0; step < 100000; ++step) {
+                const Way w = static_cast<Way>(rng.nextBelow(ways));
+                if (rng.nextBelow(2) == 0) {
+                    compiled.touch(w);
+                    interpreted->touch(w);
+                } else {
+                    compiled.fill(w);
+                    interpreted->fill(w);
+                }
+                ASSERT_EQ(compiled.victim(), interpreted->victim())
+                    << spec << " k=" << ways << " step " << step;
+                ASSERT_EQ(compiled.stateKey(), interpreted->stateKey())
+                    << spec << " k=" << ways << " step " << step;
+            }
+        }
+    }
+}
+
+/**
+ * Where both forms fit (4 ways, default budget), the product of the
+ * factored parts is the pinned monolithic table up to state
+ * renaming: a lockstep walk from state 0 maps every monolithic state
+ * to exactly one (core, control) pair with the same victim and key,
+ * and every transition commutes with the mapping. (drrip at 4 ways
+ * has no monolithic table under the default budget.)
+ */
+TEST(FactoredTable, ProductEqualsMonolithicAt4Ways)
+{
+    for (const char* spec : {"bip", "brrip", "dip", "dip:4,3,4"}) {
+        const unsigned k = 4;
+        const CompiledTablePtr mono = compilePolicy(*makePolicy(spec, k));
+        const CompiledTablePtr fac = factoredTable(spec, k);
+        ASSERT_NE(mono, nullptr) << spec;
+        ASSERT_NE(fac, nullptr) << spec;
+        ASSERT_FALSE(mono->factored()) << spec;
+        ASSERT_TRUE(fac->factored()) << spec;
+
+        using Pair = std::pair<uint32_t, uint32_t>;
+        std::vector<Pair> pairOf(mono->numStates());
+        std::vector<bool> seen(mono->numStates(), false);
+        std::set<Pair> images;
+        std::vector<uint32_t> queue{0};
+        pairOf[0] = {0, 0};
+        seen[0] = true;
+        images.insert(pairOf[0]);
+        const auto visit = [&](uint32_t m, Pair p) {
+            if (seen[m]) {
+                EXPECT_EQ(pairOf[m], p) << spec << " state " << m;
+                return;
+            }
+            seen[m] = true;
+            pairOf[m] = p;
+            EXPECT_TRUE(images.insert(p).second)
+                << spec << " two states map to one pair";
+            queue.push_back(m);
+        };
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            const uint32_t m = queue[i];
+            const auto [c, q] = pairOf[m];
+            ASSERT_EQ(mono->victim(m), fac->victim(c)) << spec;
+            ASSERT_EQ(mono->stateKey(m), fac->stateKey(c, q)) << spec;
+            for (Way w = 0; w < k; ++w) {
+                visit(mono->touchNext(m, w),
+                      {fac->touchNext(c, w), fac->controlTouch(q)});
+                const uint32_t packed = fac->controlFill(q);
+                visit(mono->fillNext(m, w),
+                      {fac->fillNext(c, w, (packed & 1) != 0),
+                       packed >> 1});
+            }
+        }
+        EXPECT_EQ(queue.size(), mono->numStates()) << spec;
+    }
+}
+
+/**
+ * Every simulation kernel steps the control register: the single
+ * kernel, the lockstep lanes (with final images) and the
+ * single-set match kernel all equal cache::Cache / SetModel on the
+ * factored specs at 8 ways.
+ */
+TEST(FactoredTable, KernelsMatchCacheAt8Ways)
+{
+    const cache::Geometry geom{64, 32, 8};
+    const auto t = trace::zipf(64 * 1024, 40000, 0.9, 23);
+    std::vector<std::string> specs(std::begin(kFactoredSpecs),
+                                   std::end(kFactoredSpecs));
+    specs.push_back("lru"); // a monolithic lane beside them
+
+    eval::MultiPolicyOptions mopts;
+    mopts.numThreads = 1;
+    mopts.captureFinalImages = true;
+    const auto lanes = eval::simulateMultiPolicy(geom, specs, t, mopts);
+    ASSERT_EQ(lanes.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string& spec = specs[i];
+        EXPECT_TRUE(lanes[i].compiled) << spec;
+        cache::Cache reference(geom, spec, "ref", 1);
+        for (const cache::Addr a : t)
+            reference.access(a);
+        const auto& want = reference.stats();
+        const auto single = eval::simulateTraceKernel(geom, spec, t);
+        for (const cache::LevelStats* got :
+             {&lanes[i].stats, &single}) {
+            EXPECT_EQ(got->hits, want.hits) << spec;
+            EXPECT_EQ(got->misses, want.misses) << spec;
+            EXPECT_EQ(got->evictions, want.evictions) << spec;
+        }
+        for (unsigned set = 0; set < geom.numSets; ++set) {
+            const auto image = reference.setImage(set);
+            EXPECT_EQ(lanes[i].finalImage[set].tags, image.tags)
+                << spec << " set " << set;
+            EXPECT_EQ(lanes[i].finalImage[set].policyKey,
+                      image.policyKey)
+                << spec << " set " << set;
+        }
+    }
+
+    // One observed sequence per spec, matched against every spec's
+    // compiled lane: the verdicts equal per-candidate SetModel replay.
+    Rng rng(0x5E7);
+    std::vector<BlockId> seq(3000);
+    for (BlockId& b : seq)
+        b = rng.nextBelow(12);
+    std::vector<PolicyPtr> protos;
+    std::vector<eval::SetLane> setLanes;
+    std::vector<std::vector<bool>> hitsOf;
+    for (const std::string& spec : specs) {
+        protos.push_back(makePolicy(spec, geom.ways));
+        setLanes.push_back(
+            {compiledTableFor(spec, geom.ways), protos.back().get()});
+        SetModel model(makePolicy(spec, geom.ways));
+        model.flush();
+        std::vector<bool> hits;
+        for (const BlockId b : seq)
+            hits.push_back(model.access(b));
+        hitsOf.push_back(std::move(hits));
+    }
+    const std::vector<bool> determined(seq.size(), true);
+    for (std::size_t j = 0; j < specs.size(); ++j) {
+        const auto match = eval::matchObservationMultiPolicy(
+            geom.ways, setLanes, seq, hitsOf[j], determined);
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(match[i] != 0, hitsOf[i] == hitsOf[j])
+                << specs[i] << " on the observation of " << specs[j];
+    }
+}
+
+/**
+ * bip, dip and dip:4,3,4 run on one recency core table; brrip and
+ * drrip (both 2-bit) on one RRPV core table.
+ */
+TEST(FactoredTable, CoresAreSharedThroughTheMemo)
+{
+    const auto data = [](const char* spec) {
+        const CompiledTablePtr table = compiledTableFor(spec, 8);
+        EXPECT_NE(table, nullptr) << spec;
+        return table ? table->touchData() : nullptr;
+    };
+    EXPECT_EQ(data("bip"), data("dip"));
+    EXPECT_EQ(data("bip"), data("dip:4,3,4"));
+    EXPECT_EQ(data("brrip"), data("drrip"));
+    EXPECT_NE(data("bip"), data("brrip"));
+    EXPECT_EQ(compiledTableFor("bip", 8)->numStates(), 40320u);
+    EXPECT_EQ(compiledTableFor("drrip", 8)->numStates(), 65535u);
+}
+
+/**
+ * The budget of a factored table covers each part's states and the
+ * two parts' bytes together: the recency core at 8 ways needs
+ * exactly 40 320 states, and the bytes limit is inclusive.
+ */
+TEST(FactoredTable, BudgetCoversCoreControlAndBytes)
+{
+    const PolicyPtr bip = makePolicy("bip", 8);
+    CompileBudget states;
+    states.maxStates = 40320;
+    const CompiledTablePtr table = compilePolicy(*bip, states);
+    ASSERT_NE(table, nullptr);
+    EXPECT_TRUE(table->factored());
+    states.maxStates = 40319;
+    EXPECT_EQ(compilePolicy(*bip, states), nullptr);
+
+    uint64_t exact = 0;
+    for (uint32_t s = 0; s < table->numStates(); ++s)
+        exact += 3 * 8 * sizeof(uint32_t) + sizeof(uint16_t) +
+                 table->stateKey(s).size();
+    for (uint32_t q = 0; q < table->controlStates(); ++q)
+        exact += 2 * sizeof(uint32_t) + table->controlKey(q).size();
+    CompileBudget bytes;
+    bytes.maxTableBytes = exact;
+    EXPECT_NE(compilePolicy(*bip, bytes), nullptr);
+    bytes.maxTableBytes = exact - 1;
+    EXPECT_EQ(compilePolicy(*bip, bytes), nullptr);
+}
+
+/**
+ * Racing first callers, on and off the shared pool, each enumerate
+ * the recency core under a budget no other test uses and race for
+ * its memo slot; every caller still gets the pinned factored table.
+ * Runs under ThreadSanitizer in CI.
+ */
+TEST(FactoredTable, SameTableOnAndOffThePool)
+{
+    const TablePin& pin = *std::find_if(
+        std::begin(kTablePins), std::end(kTablePins),
+        [](const TablePin& p) {
+            return std::string(p.spec) == "dip:4,3,4" && p.ways == 8;
+        });
+    CompileBudget budget;
+    budget.maxStates = (1u << 17) - 1;
+    const auto digestOf = [&pin, &budget] {
+        const CompiledTablePtr table =
+            compilePolicy(*makePolicy(pin.spec, pin.ways), budget);
+        return table && table->factored() ? tableDigest(*table) : 0;
+    };
+
+    uint64_t inTask[2] = {0, 0};
+    uint64_t concurrent = 0;
+    std::thread other([&digestOf, &concurrent] {
+        concurrent = digestOf();
+    });
+    {
+        TaskPool pool(2);
+        for (uint64_t& slot : inTask)
+            pool.submit([&digestOf, &slot] { slot = digestOf(); });
+        pool.wait();
+    }
+    const uint64_t here = digestOf();
+    other.join();
+    EXPECT_EQ(inTask[0], pin.digest);
+    EXPECT_EQ(inTask[1], pin.digest);
+    EXPECT_EQ(concurrent, pin.digest);
+    EXPECT_EQ(here, pin.digest);
+}
+
+/**
+ * A one-state automaton that nonetheless declares itself not finite
+ * and counts its clones: compilePolicy() must give up before cloning
+ * it even once. (Were the declaration ignored it would compile, so a
+ * regression fails here instead of enumerating without end.)
+ */
+class NotFiniteProbe final : public ReplacementPolicy
+{
+  public:
+    explicit NotFiniteProbe(unsigned ways) : ReplacementPolicy(ways) {}
+
+    static inline std::atomic<unsigned> clones{0};
+
+    void reset() override {}
+    void touch(Way) override {}
+    Way victim() const override { return 0; }
+    void fill(Way) override {}
+    std::string name() const override { return "probe"; }
+    std::string stateKey() const override { return "probe"; }
+    PolicyShape shape() const override
+    {
+        return PolicyShape::kNotFinite;
+    }
+
+    PolicyPtr clone() const override
+    {
+        ++clones;
+        return std::make_unique<NotFiniteProbe>(*this);
+    }
+};
+
+/** random declares itself not finite and never enumerates, at any k. */
+TEST(FactoredTable, RandomIsNotFinite)
+{
+    for (const unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
+        const PolicyPtr random = makePolicy("random", ways);
+        EXPECT_EQ(random->shape(), PolicyShape::kNotFinite);
+        EXPECT_EQ(compilePolicy(*random), nullptr) << ways;
+        EXPECT_EQ(compiledTableFor("random", ways), nullptr) << ways;
+        EXPECT_EQ(compilePolicy(NotFiniteProbe(ways)), nullptr) << ways;
+    }
+    EXPECT_EQ(NotFiniteProbe::clones.load(), 0u);
+    EXPECT_THROW(makePolicy("random", 4)->factorization(), UsageError);
 }
 
 } // namespace

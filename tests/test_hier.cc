@@ -97,6 +97,26 @@ TEST(Hier, FallbackLevelsRunInterpreted)
     EXPECT_FALSE(h2.fullyCompiled());
 }
 
+TEST(Hier, FactoredConstituentRunsInterpreted)
+{
+    // dip at 8 ways compiles only in factored form; the hierarchy
+    // walks monolithic tables and keeps interpreted per-set policies
+    // for such a level, bit-identical to cache::Hierarchy.
+    const auto spec = smallSpec("plru", "dip");
+    const auto table = policy::compiledTableFor("dip", 8);
+    ASSERT_NE(table, nullptr);
+    EXPECT_TRUE(table->factored());
+    hier::Hierarchy h(spec);
+    EXPECT_TRUE(h.levelCompiled(0));
+    EXPECT_FALSE(h.levelCompiled(1));
+    EXPECT_FALSE(h.fullyCompiled());
+
+    const auto report =
+        hier::crossCheck(spec, mixedTrace(20000, 64 * 1024, 9), {});
+    EXPECT_FALSE(report.fullyCompiled);
+    EXPECT_TRUE(report.ok) << report.detail;
+}
+
 TEST(Hier, AccessorRangeChecks)
 {
     hier::Hierarchy h(smallSpec());

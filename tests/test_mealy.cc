@@ -9,6 +9,7 @@
 
 #include "recap/common/error.hh"
 #include "recap/learn/mealy.hh"
+#include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
 
 namespace
@@ -121,6 +122,26 @@ TEST(Mealy, AutomatonOfPolicyStateCountsArePinned)
     EXPECT_EQ(states("lru", 4), 206u);
     EXPECT_EQ(states("plru", 4), 206u);
     EXPECT_EQ(states("slru:1", 4), 411u);
+}
+
+TEST(Mealy, AutomatonOfFactoredDipIsPinned)
+{
+    // dip at 8 ways compiles factored; extraction never reads tables,
+    // and a CompiledPolicy on the factored table is a drop-in for the
+    // interpreted one. Pins recorded before the factored form
+    // existed.
+    const auto interpreted = policy::makePolicy("dip", 8);
+    const auto table = policy::compiledTableFor("dip", 8);
+    ASSERT_NE(table, nullptr);
+    ASSERT_TRUE(table->factored());
+    const policy::CompiledPolicy compiled(table);
+    const policy::ReplacementPolicy* const both[] = {interpreted.get(),
+                                                     &compiled};
+    for (const policy::ReplacementPolicy* p : both) {
+        const auto machine = automatonOfPolicy(*p, 3, 1u << 16);
+        EXPECT_EQ(machine.numStates(), 5521u);
+        EXPECT_EQ(machine.minimized().numStates(), 8u);
+    }
 }
 
 TEST(Mealy, AutomatonOfPolicyRespectsStateGuard)

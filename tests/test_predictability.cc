@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "recap/eval/predictability.hh"
+#include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
 
 namespace
@@ -143,6 +144,30 @@ TEST(EvictBound, AdaptivePoliciesPinned)
               1u);
     EXPECT_EQ(*evictBound(*policy::makePolicy("eaf", 2)).value, 15u);
     EXPECT_EQ(*evictBound(*policy::makePolicy("eaf", 4)).value, 45u);
+}
+
+TEST(EvictBound, FactoredTablesAreNotCompiled)
+{
+    // Under a 50 000-state budget dip at 8 ways compiles only in
+    // factored form (its 40 320-state core fits, the product does
+    // not), which has no state set to walk: both metrics keep the
+    // interpreted exploration. Pins recorded before the factored
+    // form existed.
+    const auto dip = policy::makePolicy("dip", 8);
+    PredictabilityConfig cfg;
+    cfg.maxStates = 50000;
+    policy::CompileBudget budget;
+    budget.maxStates = cfg.maxStates;
+    const auto table = policy::compilePolicy(*dip, budget);
+    ASSERT_NE(table, nullptr);
+    EXPECT_TRUE(table->factored());
+
+    const auto turnover = missTurnover(*dip, cfg);
+    EXPECT_EQ(turnover.render(), ">budget");
+    EXPECT_EQ(turnover.statesExplored, 50001u);
+    const auto bound = evictBound(*dip, cfg);
+    EXPECT_EQ(bound.render(), ">budget");
+    EXPECT_EQ(bound.statesExplored, 14649u);
 }
 
 TEST(MetricResult, Rendering)

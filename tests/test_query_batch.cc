@@ -290,4 +290,37 @@ TEST(QueryBatch, LargeGeneratedWorkloadMatchesNaive)
     }
 }
 
+TEST(QueryBatch, FactoredPolicyBatchMatchesNaive)
+{
+    // At 8 ways the bimodal and dueling policies compile factored, so
+    // the snapshot walk steps a control register next to the core
+    // state. Queries over 12 blocks keep the set under eviction
+    // pressure, where the fill's insertion variant shows.
+    Rng rng(41);
+    std::vector<CompiledQuery> queries;
+    for (int i = 0; i < 40; ++i) {
+        std::string text;
+        const auto len = 10 + rng.nextBelow(30);
+        for (std::size_t j = 0; j < len; ++j) {
+            text += static_cast<char>('a' + rng.nextBelow(12));
+            if (j + 1 == len || rng.nextBool(0.3))
+                text += '?';
+            text += ' ';
+        }
+        queries.push_back(query::compile(query::parseQuery(text)));
+    }
+    for (const char* spec : {"bip", "brrip", "dip", "drrip", "dip:4,3,4"}) {
+        PolicyOracle shared(spec, 8);
+        PolicyOracle naive(spec, 8);
+        const auto table = shared.compiledTable();
+        ASSERT_NE(table, nullptr) << spec;
+        EXPECT_TRUE(table->factored()) << spec;
+        BatchOptions off;
+        off.prefixSharing = false;
+        EXPECT_EQ(probesOf(shared.evaluateBatch(queries)),
+                  probesOf(naive.evaluateBatch(queries, off)))
+            << spec;
+    }
+}
+
 } // namespace

@@ -86,6 +86,23 @@ TEST(ViewForSpec, MetadataPoliciesDoNotCompile)
     EXPECT_FALSE(sec::viewForSpec("eaf", 4).has_value());
 }
 
+TEST(ViewForSpec, FactoredTablesAreNotCompiled)
+{
+    // drrip at 4 ways compiles only in factored form: a control
+    // register next to the RRPV core has no explicit state set for
+    // the searches to walk.
+    const auto table = policy::compiledTableFor("drrip", 4, {});
+    ASSERT_NE(table, nullptr);
+    EXPECT_TRUE(table->factored());
+    EXPECT_THROW(policy::CompiledTableView{table}, UsageError);
+    EXPECT_FALSE(sec::viewForSpec("drrip", 4).has_value());
+    const auto p = sec::securityProfile("drrip", 4);
+    EXPECT_FALSE(p.compiled);
+    EXPECT_EQ(p.evict.outcome, SecOutcome::kNotCompiled);
+    EXPECT_EQ(p.stealth.outcome, SecOutcome::kNotCompiled);
+    EXPECT_EQ(p.observe.outcome, SecOutcome::kNotCompiled);
+}
+
 TEST(ViewForSpec, CompileBudgetIsHonoured)
 {
     sec::SecBudget tiny;
