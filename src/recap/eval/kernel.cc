@@ -1,7 +1,5 @@
 #include "recap/eval/kernel.hh"
 
-#include <type_traits>
-
 #include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
@@ -13,45 +11,25 @@ namespace
 {
 
 /**
- * The control register of a factored table (see
- * policy::CompiledTable::factored): its two rows, the offset of the
- * core's alternative fill rows, and one register per set.
- */
-struct ControlRows
-{
-    const uint32_t* touch = nullptr;
-    const uint32_t* fill = nullptr;
-    std::size_t altOffset = 0;
-    uint32_t* state = nullptr;
-};
-
-/**
- * The devirtualized access loop, templated over the transition-table
- * element width, the associativity and whether a control register
- * runs next to the core state: narrow (uint16) tables halve the
+ * The devirtualized access loop, one instantiation per stepper type
+ * (policy::visitFixedWaysStepper): narrow (uint16) tables halve the
  * state-indexed working set and are used whenever the automaton fits
- * (see CompiledTable::narrow()); a compile-time kFixedWays (0 =
- * dynamic) lets the compiler unroll and vectorize the tag scan and
- * turn the row multiply into a shift; monolithic tables
- * (kFactored = false) compile to the plain three-lookup loop. Every
- * instantiation runs the identical algorithm, so results cannot
- * differ.
+ * (see CompiledTable::narrow()); a compile-time associativity lets
+ * the compiler unroll and vectorize the tag scan and turn the row
+ * multiply into a shift; a monolithic stepper never touches the
+ * control registers, so its loop is the plain three-lookup one.
+ * Every instantiation runs the identical algorithm, so results
+ * cannot differ.
  */
-template <typename State, unsigned kFixedWays, bool kFactored>
+template <typename Stepper>
 uint64_t
-kernelLoop(const trace::Trace& t, unsigned dynWays,
+kernelLoop(const trace::Trace& t, const Stepper step,
            unsigned offsetBits, unsigned setBits, uint64_t setMask,
-           const State* __restrict touchNext,
-           const State* __restrict fillNext,
-           const uint16_t* __restrict victim, const ControlRows& ctl,
            uint64_t* __restrict tags, uint32_t* __restrict state,
-           uint16_t* __restrict filled, uint64_t& evictions)
+           uint32_t* __restrict control, uint16_t* __restrict filled,
+           uint64_t& evictions)
 {
-    const unsigned ways = kFixedWays != 0 ? kFixedWays : dynWays;
-    const uint32_t* __restrict ctlTouch = ctl.touch;
-    const uint32_t* __restrict ctlFill = ctl.fill;
-    const std::size_t altOffset = ctl.altOffset;
-    uint32_t* __restrict control = ctl.state;
+    const unsigned ways = step.ways();
     uint64_t hits = 0;
     for (const cache::Addr addr : t) {
         const uint64_t block = addr >> offsetBits;
@@ -61,8 +39,6 @@ kernelLoop(const trace::Trace& t, unsigned dynWays,
         uint64_t* setTags = tags +
                             static_cast<std::size_t>(set) * ways;
         const unsigned live = filled[set];
-        const uint32_t s = state[set];
-        const std::size_t row = static_cast<std::size_t>(s) * ways;
 
         // Branchless scan of the whole row, keeping the lowest
         // matching way. Ways fill bottom-up and the kernel never
@@ -77,79 +53,20 @@ kernelLoop(const trace::Trace& t, unsigned dynWays,
         }
         if (way < live) {
             ++hits;
-            state[set] = touchNext[row + way];
-            if constexpr (kFactored)
-                control[set] = ctlTouch[control[set]];
+            step.touch(state[set], control[set], way);
             continue;
         }
         if (live < ways) {
             way = live;
             filled[set] = static_cast<uint16_t>(live + 1);
         } else {
-            way = victim[s];
+            way = step.victim(state[set]);
             ++evictions;
         }
         setTags[way] = tag;
-        if constexpr (kFactored) {
-            // Bit 0 of the control's fill row picks the core's
-            // insertion variant.
-            const uint32_t packed = ctlFill[control[set]];
-            control[set] = packed >> 1;
-            state[set] =
-                fillNext[(packed & 1) * altOffset + row + way];
-        } else {
-            state[set] = fillNext[row + way];
-        }
+        step.fill(state[set], control[set], way);
     }
     return hits;
-}
-
-template <typename State, bool kFactored>
-uint64_t
-runKernel(const trace::Trace& t, unsigned ways, unsigned offsetBits,
-          unsigned setBits, uint64_t setMask, const State* touchNext,
-          const State* fillNext, const uint16_t* victim,
-          const ControlRows& ctl, uint64_t* tags, uint32_t* state,
-          uint16_t* filled, uint64_t& evictions)
-{
-    const auto loop = [&](auto fixedWays) {
-        return kernelLoop<State, decltype(fixedWays)::value,
-                          kFactored>(
-            t, ways, offsetBits, setBits, setMask, touchNext,
-            fillNext, victim, ctl, tags, state, filled, evictions);
-    };
-    switch (ways) {
-    case 2:
-        return loop(std::integral_constant<unsigned, 2>{});
-    case 4:
-        return loop(std::integral_constant<unsigned, 4>{});
-    case 8:
-        return loop(std::integral_constant<unsigned, 8>{});
-    case 16:
-        return loop(std::integral_constant<unsigned, 16>{});
-    default:
-        return loop(std::integral_constant<unsigned, 0>{});
-    }
-}
-
-/** Width- and shape-dispatching entry over one table. */
-template <bool kFactored>
-uint64_t
-runTable(const policy::CompiledTable& table, const trace::Trace& t,
-         unsigned ways, unsigned offsetBits, unsigned setBits,
-         uint64_t setMask, const ControlRows& ctl, uint64_t* tags,
-         uint32_t* state, uint16_t* filled, uint64_t& evictions)
-{
-    if (table.narrow()) {
-        return runKernel<uint16_t, kFactored>(
-            t, ways, offsetBits, setBits, setMask, table.touchData16(),
-            table.fillData16(), table.victimData(), ctl, tags, state,
-            filled, evictions);
-    }
-    return runKernel<uint32_t, kFactored>(
-        t, ways, offsetBits, setBits, setMask, table.touchData(),
-        table.fillData(), table.victimData(), ctl, tags, state, filled,
-        evictions);
 }
 
 } // namespace
@@ -178,26 +95,18 @@ simulateCompiled(const cache::Geometry& geom,
                                ways);
     std::vector<uint32_t> state(numSets, 0);
     std::vector<uint16_t> filled(numSets, 0);
-
-    // One control register per set when the table is factored.
-    std::vector<uint32_t> control(table.factored() ? numSets : 0, 0);
-    ControlRows ctl;
-    if (table.factored()) {
-        ctl.touch = table.controlTouchData();
-        ctl.fill = table.controlFillData();
-        ctl.altOffset = table.altOffset();
-        ctl.state = control.data();
-    }
+    // The control registers of a factored table (see
+    // policy::TableStepper); a monolithic one leaves them at 0.
+    std::vector<uint32_t> control(numSets, 0);
 
     uint64_t evictions = 0;
-    const uint64_t hits =
-        table.factored()
-            ? runTable<true>(table, t, ways, offsetBits, setBits,
-                             setMask, ctl, tags.data(), state.data(),
-                             filled.data(), evictions)
-            : runTable<false>(table, t, ways, offsetBits, setBits,
-                              setMask, ctl, tags.data(), state.data(),
-                              filled.data(), evictions);
+    const uint64_t hits = policy::visitFixedWaysStepper(
+        table, [&](const auto step) {
+            return kernelLoop(t, step, offsetBits, setBits, setMask,
+                              tags.data(), state.data(),
+                              control.data(), filled.data(),
+                              evictions);
+        });
 
     cache::LevelStats stats;
     stats.accesses = t.size();
@@ -217,8 +126,7 @@ simulateCompiled(const cache::Geometry& geom,
                     tags[static_cast<std::size_t>(set) * ways + w];
                 image.valid[w] = true;
             }
-            image.policyKey = table.stateKey(
-                state[set], table.factored() ? control[set] : 0);
+            image.policyKey = table.stateKey(state[set], control[set]);
             finalImage->push_back(std::move(image));
         }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <type_traits>
 #include <unordered_map>
 
@@ -71,278 +72,197 @@ namespace
 /** Widest lockstep group the kernel instantiates. */
 constexpr unsigned kMaxGroupLanes = 16;
 
-/** True when the group's lanes carry a control register. */
-bool
-groupFactored(const policy::TableLanes& tables)
-{
-    return tables[0].controlTouch != nullptr;
-}
-
-/**
- * Raw per-lane pointers of one lane group, hoisted once. Groups are
- * packed element-width-homogeneous (all-narrow or all-wide) and
- * shape-homogeneous (all-monolithic or all-factored), so the hot loop
- * is templated on both and never re-tests them per lane per access.
- */
-template <typename State>
-struct GroupLanes
-{
-    const State* touch[kMaxGroupLanes] = {};
-    const State* fill[kMaxGroupLanes] = {};
-    const uint16_t* victim[kMaxGroupLanes] = {};
-    // Factored lanes only: the control rows and the offset of the
-    // core's alternative fill rows.
-    const uint32_t* ctlTouch[kMaxGroupLanes] = {};
-    const uint32_t* ctlFill[kMaxGroupLanes] = {};
-    std::size_t altOffset[kMaxGroupLanes] = {};
-
-    explicit GroupLanes(const policy::TableLanes& tables)
-    {
-        const bool factored = groupFactored(tables);
-        for (std::size_t l = 0; l < tables.size(); ++l) {
-            if constexpr (std::is_same_v<State, uint16_t>) {
-                touch[l] = tables[l].touch16;
-                fill[l] = tables[l].fill16;
-            } else {
-                touch[l] = tables[l].touch32;
-                fill[l] = tables[l].fill32;
-            }
-            ensure(touch[l] != nullptr && fill[l] != nullptr,
-                   "multi_kernel: lane group mixes table widths");
-            ensure((tables[l].controlTouch != nullptr) == factored,
-                   "multi_kernel: lane group mixes table shapes");
-            victim[l] = tables[l].victim;
-            ctlTouch[l] = tables[l].controlTouch;
-            ctlFill[l] = tables[l].controlFill;
-            altOffset[l] = tables[l].altOffset;
-        }
-    }
-};
-
-/**
- * One lane's policy update after an access resolved to way @p w:
- * the core state through the touch or fill row, and for factored
- * lanes the control register, whose fill row also picks the core's
- * insertion variant. Branch-free (selects only), like the rest of the
- * lockstep update.
- */
-template <typename State, bool kFactored>
-inline void
-stepLane(const GroupLanes<State>& g, unsigned l, bool hit,
-         std::size_t row, uint32_t w, uint32_t& st, uint32_t& ctl)
-{
-    const State* tbl = hit ? g.touch[l] : g.fill[l];
-    if constexpr (kFactored) {
-        const uint32_t packed = g.ctlFill[l][ctl];
-        const uint32_t touched = g.ctlTouch[l][ctl];
-        const std::size_t variant =
-            hit ? 0 : (packed & 1) * g.altOffset[l];
-        ctl = hit ? touched : packed >> 1;
-        st = tbl[variant + row + w];
-    } else {
-        (void)ctl;
-        st = tbl[row + w];
-    }
-}
-
 /** Mutable structure-of-arrays state of one lane group. */
 struct GroupState
 {
-    std::vector<uint32_t> tags;   ///< [set][way][lane], 0 = empty
-    std::vector<uint32_t> state;  ///< [set][lane] policy state
-    std::vector<uint32_t> control; ///< [set][lane] if factored
-    std::vector<uint16_t> filled; ///< [set][lane] fill cursor
+    std::vector<uint32_t> tags;    ///< [set][way][lane], 0 = empty
+    std::vector<uint32_t> state;   ///< [set][lane] policy state
+    std::vector<uint32_t> control; ///< [set][lane] control register
+    std::vector<uint16_t> filled;  ///< [set][lane] fill cursor
     std::array<uint64_t, kMaxGroupLanes> hits{};
     std::array<uint64_t, kMaxGroupLanes> evictions{};
 
-    GroupState(unsigned numSets, unsigned ways, unsigned lanes,
-               bool factored)
+    GroupState(unsigned numSets, unsigned ways, unsigned lanes)
         : tags(static_cast<std::size_t>(numSets) * ways * lanes, 0),
           state(static_cast<std::size_t>(numSets) * lanes, 0),
-          control(factored ? static_cast<std::size_t>(numSets) * lanes
-                           : 0,
-                  0),
+          control(static_cast<std::size_t>(numSets) * lanes, 0),
           filled(static_cast<std::size_t>(numSets) * lanes, 0)
     {}
 };
 
 /**
- * The lockstep hot loop: one decoded access updates every lane of
- * the group. kLanes is a compile-time constant so the scan's inner
- * lane loop has a fixed trip count and vectorizes (compare-select
- * over uint32 tags). The per-lane update is branch-free: per-lane
- * hit/miss branches would mispredict independently and serialize a
- * wide group, so the update computes the final way with selects,
- * issues the (independent, overlappable) table gathers, and
- * re-writes the matched tag on hits — a no-op store, since the slot
- * already holds the id. Identical algorithm to kernel.cc's
- * kernelLoop per lane, so results cannot differ: ids are >= 1 and
- * unique per block, ways fill bottom-up, the zeroed tags of ways >=
- * filled never match a real id.
+ * One access of block @p id against every lane of a group, in the
+ * set whose interleaved [way][lane] tag row is @p rowTags; @p st,
+ * @p ct and @p fl hold the lanes' states, control registers and fill
+ * cursors in that set. kLanes is a compile-time constant so the
+ * scan's inner lane loop has a fixed trip count and vectorizes
+ * (compare-select over uint32 tags). The per-lane update is
+ * branch-free: per-lane hit/miss branches would mispredict
+ * independently and serialize a wide group, so the update computes
+ * the final way with selects, issues the (independent, overlappable)
+ * table gathers through TableStepper::step, and re-writes the
+ * matched tag on hits — a no-op store, since the slot already holds
+ * the id. Identical algorithm to kernel.cc's kernelLoop per lane, so
+ * results cannot differ: ids are >= 1 and unique per block, ways
+ * fill bottom-up, the zeroed tags of ways >= filled never match a
+ * real id. @p onLane(l, hit, evicted) sees every lane's outcome.
  */
-template <typename State, unsigned kLanes, unsigned kFixedWays,
-          bool kFactored>
+template <unsigned kLanes, typename Stepper, typename OnLane>
+inline void
+accessLanes(const Stepper* lanes, unsigned ways, uint32_t id,
+            uint32_t* __restrict rowTags, uint32_t* __restrict st,
+            uint32_t* __restrict ct, uint16_t* __restrict fl,
+            const OnLane& onLane)
+{
+    // Lane-parallel scan for the matching way; ways is the no-match
+    // sentinel. Two shapes, picked per group width (measured,
+    // interleaved A/B): wide groups vectorize the compare-select
+    // across lanes, narrow groups have no lane parallelism, so a
+    // serial select chain over w stalls — an associative match-bitmask
+    // OR plus countr_zero reduces as a tree instead. Both return the
+    // lowest match; block ids are unique, so at most one way per lane
+    // matches either way.
+    uint32_t way[kLanes];
+    if constexpr (kLanes >= 4) {
+        for (unsigned l = 0; l < kLanes; ++l)
+            way[l] = ways;
+        for (unsigned w = ways; w-- > 0;) {
+            const uint32_t* p =
+                rowTags + static_cast<std::size_t>(w) * kLanes;
+            for (unsigned l = 0; l < kLanes; ++l)
+                way[l] = p[l] == id ? w : way[l];
+        }
+    } else {
+        uint64_t mask[kLanes] = {};
+        for (unsigned w = 0; w < ways; ++w) {
+            const uint32_t* p =
+                rowTags + static_cast<std::size_t>(w) * kLanes;
+            for (unsigned l = 0; l < kLanes; ++l)
+                mask[l] |= static_cast<uint64_t>(p[l] == id) << w;
+        }
+        for (unsigned l = 0; l < kLanes; ++l)
+            way[l] = static_cast<uint32_t>(std::countr_zero(
+                mask[l] | (uint64_t{1} << ways)));
+    }
+
+    for (unsigned l = 0; l < kLanes; ++l) {
+        uint32_t s = st[l];
+        const unsigned f = fl[l];
+        const bool hit = way[l] < f;
+        // Miss target: the fill cursor while filling, else the
+        // policy's victim (the gather is wasted on hits but keeps the
+        // lane branch-free).
+        const uint32_t missWay =
+            f < ways ? f : uint32_t{lanes[l].victim(s)};
+        const uint32_t w = hit ? way[l] : missWay;
+        rowTags[static_cast<std::size_t>(w) * kLanes + l] = id;
+        onLane(l, hit, !hit && f == ways);
+        fl[l] = static_cast<uint16_t>(
+            f + static_cast<unsigned>(!hit && f < ways));
+        lanes[l].step(hit, s, ct[l], w);
+        st[l] = s;
+    }
+}
+
+/** The lockstep hot loop: every decoded access through
+ *  accessLanes(). */
+template <unsigned kLanes, typename Stepper>
 void
-lockstepLoop(const uint32_t* __restrict sets,
-             const uint32_t* __restrict ids, std::size_t n,
-             unsigned waysRT, const GroupLanes<State>& g,
+lockstepLoop(const DecodedTrace& decoded, const Stepper* lanes,
              GroupState& gs)
 {
-    // Fixed associativity (like kernel.cc) gives the scan a
-    // compile-time trip count; kFixedWays == 0 is the generic
-    // fallback.
-    const unsigned ways = kFixedWays ? kFixedWays : waysRT;
+    const unsigned ways = lanes[0].ways();
+    const uint32_t* __restrict sets = decoded.sets().data();
+    const uint32_t* __restrict ids = decoded.ids().data();
     uint32_t* __restrict tags = gs.tags.data();
     uint32_t* __restrict state = gs.state.data();
     uint32_t* __restrict control = gs.control.data();
     uint16_t* __restrict filled = gs.filled.data();
     const std::size_t rowStride =
         static_cast<std::size_t>(ways) * kLanes;
-    uint32_t unusedControl[kLanes] = {};
 
-    for (std::size_t a = 0; a < n; ++a) {
-        const uint32_t set = sets[a];
-        const uint32_t id = ids[a];
-        uint32_t* rowTags = tags + set * rowStride;
-        uint32_t* st = state + static_cast<std::size_t>(set) * kLanes;
-        uint32_t* ct =
-            kFactored ? control + static_cast<std::size_t>(set) * kLanes
-                      : unusedControl;
-        uint16_t* fl = filled + static_cast<std::size_t>(set) * kLanes;
-
-        // Lane-parallel scan for the matching way; ways is the
-        // no-match sentinel. Two shapes, picked per group width
-        // (measured, interleaved A/B): wide groups vectorize the
-        // compare-select across lanes, narrow groups have no lane
-        // parallelism, so a serial select chain over w stalls — an
-        // associative match-bitmask OR plus countr_zero reduces as a
-        // tree instead. Both return the lowest match; block ids are
-        // unique, so at most one way per lane matches either way.
-        uint32_t way[kLanes];
-        if constexpr (kLanes >= 4) {
-            for (unsigned l = 0; l < kLanes; ++l)
-                way[l] = ways;
-            for (unsigned w = ways; w-- > 0;) {
-                const uint32_t* p =
-                    rowTags + static_cast<std::size_t>(w) * kLanes;
-                for (unsigned l = 0; l < kLanes; ++l)
-                    way[l] = p[l] == id ? w : way[l];
-            }
-        } else {
-            uint64_t mask[kLanes] = {};
-            for (unsigned w = 0; w < ways; ++w) {
-                const uint32_t* p =
-                    rowTags + static_cast<std::size_t>(w) * kLanes;
-                for (unsigned l = 0; l < kLanes; ++l)
-                    mask[l] |= static_cast<uint64_t>(p[l] == id)
-                               << w;
-            }
-            for (unsigned l = 0; l < kLanes; ++l)
-                way[l] = static_cast<uint32_t>(std::countr_zero(
-                    mask[l] | (uint64_t{1} << ways)));
-        }
-
-        for (unsigned l = 0; l < kLanes; ++l) {
-            const uint32_t s = st[l];
-            const std::size_t row =
-                static_cast<std::size_t>(s) * ways;
-            const unsigned f = fl[l];
-            const bool hit = way[l] < f;
-            // Miss target: the fill cursor while filling, else the
-            // policy's victim (the gather is wasted on hits but
-            // keeps the lane branch-free).
-            const uint32_t missWay =
-                f < ways ? f : uint32_t{g.victim[l][s]};
-            const uint32_t w = hit ? way[l] : missWay;
-            rowTags[static_cast<std::size_t>(w) * kLanes + l] = id;
-            gs.hits[l] += hit;
-            gs.evictions[l] +=
-                static_cast<uint64_t>(!hit && f == ways);
-            fl[l] = static_cast<uint16_t>(
-                f + static_cast<unsigned>(!hit && f < ways));
-            stepLane<State, kFactored>(g, l, hit, row, w, st[l], ct[l]);
-        }
+    for (std::size_t a = 0; a < decoded.size(); ++a) {
+        const std::size_t set = sets[a];
+        accessLanes<kLanes>(
+            lanes, ways, ids[a], tags + set * rowStride,
+            state + set * kLanes, control + set * kLanes,
+            filled + set * kLanes,
+            [&](unsigned l, bool hit, bool evicted) {
+                gs.hits[l] += hit;
+                gs.evictions[l] += evicted;
+            });
     }
 }
 
-template <typename State, unsigned kFixedWays, bool kFactored>
+/**
+ * Single-set lockstep replay of one observed sequence: the group's
+ * tag matrix is one set row, and every position additionally
+ * compares the lane's hit against the observation. Mismatched lanes
+ * keep stepping (their flag is monotone), matching the per-candidate
+ * SetModel replay bit-for-bit.
+ */
+template <unsigned kLanes, typename Stepper>
 void
-runLockstep(const uint32_t* sets, const uint32_t* ids, std::size_t n,
-            unsigned ways, unsigned lanes, const GroupLanes<State>& g,
-            GroupState& gs)
+matchLoop(const Stepper* lanes, const uint32_t* seqIds, std::size_t n,
+          const uint8_t* observedHits, const uint8_t* determined,
+          char* match)
 {
-    const auto loop = [&](auto width) {
-        lockstepLoop<State, decltype(width)::value, kFixedWays,
-                     kFactored>(sets, ids, n, ways, g, gs);
-    };
-    switch (lanes) {
-    case 16:
-        return loop(std::integral_constant<unsigned, 16>{});
-    case 8:
-        return loop(std::integral_constant<unsigned, 8>{});
-    case 4:
-        return loop(std::integral_constant<unsigned, 4>{});
-    case 2:
-        return loop(std::integral_constant<unsigned, 2>{});
-    case 1:
-        return loop(std::integral_constant<unsigned, 1>{});
-    default:
-        throw UsageError("multi_kernel: unsupported lane width " +
-                         std::to_string(lanes));
+    const unsigned ways = lanes[0].ways();
+    std::vector<uint32_t> tags(
+        static_cast<std::size_t>(ways) * kLanes, 0);
+    uint32_t st[kLanes] = {};
+    uint32_t ct[kLanes] = {};
+    uint16_t fl[kLanes] = {};
+    for (unsigned l = 0; l < kLanes; ++l)
+        match[l] = 1;
+
+    for (std::size_t j = 0; j < n; ++j) {
+        accessLanes<kLanes>(
+            lanes, ways, seqIds[j], tags.data(), st, ct, fl,
+            [&](unsigned l, bool hit, bool) {
+                if (determined[j] &&
+                    hit != static_cast<bool>(observedHits[j]))
+                    match[l] = 0;
+            });
     }
 }
 
-template <typename State, bool kFactored>
+/**
+ * The one dispatch of a lane group: calls @p body(width, lanes) with
+ * the group's width as a compile-time constant and its lanes as an
+ * array of steppers of one type. Groups are packed width- and
+ * shape-homogeneous (planGroups), so the hot loops are templated on
+ * both and never re-test them per lane per access.
+ */
+template <typename Body>
 void
-runLockstepWays(const uint32_t* sets, const uint32_t* ids,
-                std::size_t n, unsigned ways, unsigned lanes,
-                const GroupLanes<State>& g, GroupState& gs)
+dispatchGroup(const std::vector<const policy::CompiledTable*>& tables,
+              const Body& body)
 {
-    const auto run = [&](auto fixedWays) {
-        runLockstep<State, decltype(fixedWays)::value, kFactored>(
-            sets, ids, n, ways, lanes, g, gs);
-    };
-    switch (ways) {
-    case 2:
-        return run(std::integral_constant<unsigned, 2>{});
-    case 4:
-        return run(std::integral_constant<unsigned, 4>{});
-    case 8:
-        return run(std::integral_constant<unsigned, 8>{});
-    case 16:
-        return run(std::integral_constant<unsigned, 16>{});
-    default:
-        return run(std::integral_constant<unsigned, 0>{});
-    }
-}
-
-/** Width- and shape-dispatching driver over a homogeneous lane group
- *  (all-narrow or all-wide, all-monolithic or all-factored). */
-void
-runGroupLoop(const DecodedTrace& decoded, unsigned ways,
-             const policy::TableLanes& tables, GroupState& gs)
-{
-    require(ways < 64,
+    require(tables.front()->ways() < 64,
             "multi_kernel: lockstep groups support < 64 ways");
-    const unsigned width = static_cast<unsigned>(tables.size());
-    const auto run = [&](auto state, auto factored) {
-        using State = decltype(state);
-        const GroupLanes<State> g(tables);
-        runLockstepWays<State, decltype(factored)::value>(
-            decoded.sets().data(), decoded.ids().data(),
-            decoded.size(), ways, width, g, gs);
-    };
-    const bool narrow = tables[0].touch16 != nullptr;
-    if (groupFactored(tables)) {
-        if (narrow)
-            run(uint16_t{}, std::true_type{});
-        else
-            run(uint32_t{}, std::true_type{});
-    } else if (narrow) {
-        run(uint16_t{}, std::false_type{});
-    } else {
-        run(uint32_t{}, std::false_type{});
-    }
+    policy::visitFixedWaysStepper(*tables.front(), [&](auto first) {
+        using Stepper = decltype(first);
+        std::array<Stepper, kMaxGroupLanes> lanes{};
+        for (std::size_t l = 0; l < tables.size(); ++l)
+            lanes[l] = Stepper(*tables[l]);
+        const auto run = [&](auto width) { body(width, lanes.data()); };
+        switch (tables.size()) {
+          case 16:
+            return run(std::integral_constant<unsigned, 16>{});
+          case 8:
+            return run(std::integral_constant<unsigned, 8>{});
+          case 4:
+            return run(std::integral_constant<unsigned, 4>{});
+          case 2:
+            return run(std::integral_constant<unsigned, 2>{});
+          case 1:
+            return run(std::integral_constant<unsigned, 1>{});
+          default:
+            throw UsageError("multi_kernel: unsupported lane width " +
+                             std::to_string(tables.size()));
+        }
+    });
 }
 
 /**
@@ -395,6 +315,65 @@ tableFootprint(const policy::CompiledTable& table)
                (static_cast<std::size_t>(table.ways()) * elem * rows +
                 2) +
            static_cast<std::size_t>(table.controlStates()) * 8;
+}
+
+/** Lane indices of one lockstep pass. */
+struct Group
+{
+    std::vector<std::size_t> laneIdx;
+    unsigned active = 0; ///< real lanes; the rest is padding
+};
+
+/**
+ * Packs compiled lanes into lockstep groups. The lanes are
+ * stable-sorted by (element width, shape), so every group is
+ * homogeneous in both; a run of one kind is cut before the lane
+ * whose table would take the run's summed footprint past
+ * @p tableBudget, and each run is chunked into groupWidths() of at
+ * most @p maxLanes. @p tableOf(i) is lane i's table; callers that
+ * budget pass distinct tables (duplicates are removed first).
+ */
+template <typename TableOf>
+std::vector<Group>
+planGroups(std::vector<std::size_t> lanes, const TableOf& tableOf,
+           unsigned maxLanes, std::size_t tableBudget)
+{
+    const auto groupKey = [&](std::size_t i) {
+        const policy::CompiledTable& table = *tableOf(i);
+        return 2 * !table.narrow() + table.factored();
+    };
+    std::stable_sort(lanes.begin(), lanes.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return groupKey(a) < groupKey(b);
+                     });
+
+    std::vector<Group> groups;
+    std::vector<std::size_t> run;
+    std::size_t runBytes = 0;
+    const auto flushRun = [&] {
+        std::size_t next = 0;
+        for (const unsigned width : groupWidths(run.size(), maxLanes)) {
+            Group group;
+            for (unsigned l = 0; l < width && next < run.size(); ++l)
+                group.laneIdx.push_back(run[next++]);
+            group.active = static_cast<unsigned>(group.laneIdx.size());
+            while (group.laneIdx.size() < width)
+                group.laneIdx.push_back(group.laneIdx.front());
+            groups.push_back(std::move(group));
+        }
+        run.clear();
+        runBytes = 0;
+    };
+    for (const std::size_t i : lanes) {
+        const std::size_t bytes = tableFootprint(*tableOf(i));
+        if (!run.empty() && (groupKey(run.front()) != groupKey(i) ||
+                             runBytes + bytes > tableBudget))
+            flushRun();
+        run.push_back(i);
+        runBytes += bytes;
+    }
+    flushRun();
+    return groups;
 }
 
 cache::LevelStats
@@ -468,69 +447,17 @@ simulateMultiPolicy(const DecodedTrace& decoded,
         compiledIdx = std::move(unique);
     }
 
-    // Lanes of the same policy share one table; packing them into
-    // the same group keeps the state-indexed table working set of a
-    // group minimal. Groups are also element-width- and
-    // shape-homogeneous so the hot loop can be templated on the table
-    // element type and on the control register. Sort by (narrow,
-    // factored, spec) — stable and deterministic; lane results are
-    // scattered back by index, so order cannot change any result.
-    const auto groupKey = [&](std::size_t i) {
-        return 2 * !tables[i]->narrow() + tables[i]->factored();
-    };
-    std::stable_sort(compiledIdx.begin(), compiledIdx.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         if (groupKey(a) != groupKey(b))
-                             return groupKey(a) < groupKey(b);
-                         return specs[a] < specs[b];
-                     });
-
-    struct Group
-    {
-        std::vector<std::size_t> laneIdx;
-        unsigned active = 0; ///< real lanes; the rest is padding
-    };
-    std::vector<Group> groups;
-    {
-        std::vector<std::size_t> run;
-        std::size_t runBytes = 0;
-        const auto flushRun = [&] {
-            std::size_t next = 0;
-            for (const unsigned width :
-                 groupWidths(run.size(), opts.maxLanes)) {
-                Group group;
-                for (unsigned l = 0; l < width && next < run.size();
-                     ++l)
-                    group.laneIdx.push_back(run[next++]);
-                group.active =
-                    static_cast<unsigned>(group.laneIdx.size());
-                while (group.laneIdx.size() < width)
-                    group.laneIdx.push_back(group.laneIdx.front());
-                groups.push_back(std::move(group));
-            }
-            run.clear();
-            runBytes = 0;
-        };
-        for (const std::size_t i : compiledIdx) {
-            const bool newTable =
-                run.empty() ||
-                tables[run.back()].get() != tables[i].get();
-            const std::size_t add =
-                newTable ? tableFootprint(*tables[i]) : 0;
-            const bool mixes =
-                !run.empty() && groupKey(run.front()) != groupKey(i);
-            const bool overBudget =
-                !run.empty() && newTable &&
-                runBytes + add > kGroupTableBudget;
-            if (mixes || overBudget)
-                flushRun();
-            run.push_back(i);
-            runBytes += run.size() == 1
-                            ? tableFootprint(*tables[i])
-                            : add;
-        }
-        flushRun();
-    }
+    // Groups are cut in spec order within each (width, shape) kind —
+    // deterministic; lane results are scattered back by index, so the
+    // order cannot change any result.
+    std::sort(compiledIdx.begin(), compiledIdx.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return specs[a] < specs[b];
+              });
+    const std::vector<Group> groups = planGroups(
+        std::move(compiledIdx),
+        [&](std::size_t i) { return tables[i].get(); }, opts.maxLanes,
+        kGroupTableBudget);
 
     const auto laneSeed = [&](std::size_t i) {
         return opts.laneSeeds.empty() ? opts.seed : opts.laneSeeds[i];
@@ -550,16 +477,16 @@ simulateMultiPolicy(const DecodedTrace& decoded,
             return;
         }
 
-        std::vector<policy::CompiledTablePtr> groupTables;
+        std::vector<const policy::CompiledTable*> groupTables;
         for (const std::size_t i : group.laneIdx)
-            groupTables.push_back(tables[i]);
-        const policy::TableLanes lanes(std::move(groupTables));
-        const unsigned width =
-            static_cast<unsigned>(group.laneIdx.size());
-
-        GroupState gs(geom.numSets, geom.ways, width,
-                      groupFactored(lanes));
-        runGroupLoop(decoded, geom.ways, lanes, gs);
+            groupTables.push_back(tables[i].get());
+        const auto width = static_cast<unsigned>(groupTables.size());
+        GroupState gs(geom.numSets, geom.ways, width);
+        dispatchGroup(groupTables,
+                      [&](auto laneCount, const auto* steppers) {
+                          lockstepLoop<decltype(laneCount)::value>(
+                              decoded, steppers, gs);
+                      });
 
         for (unsigned l = 0; l < group.active; ++l) {
             MultiLaneResult& out = results[group.laneIdx[l]];
@@ -585,9 +512,8 @@ simulateMultiPolicy(const DecodedTrace& decoded,
                 }
                 const std::size_t at =
                     static_cast<std::size_t>(set) * width + l;
-                image.policyKey = lanes.table(l)->stateKey(
-                    gs.state[at],
-                    gs.control.empty() ? 0 : gs.control[at]);
+                image.policyKey = groupTables[l]->stateKey(
+                    gs.state[at], gs.control[at]);
                 out.finalImage.push_back(std::move(image));
             }
         }
@@ -660,138 +586,6 @@ simulatePoliciesBatch(const cache::Geometry& geom,
     return stats;
 }
 
-namespace
-{
-
-/**
- * Single-set lockstep replay of one observed sequence: the group's
- * tag matrix is one set row, and every position additionally
- * compares the lane's hit against the observation. Mismatched lanes
- * keep stepping (their flag is monotone), matching the per-candidate
- * SetModel replay bit-for-bit.
- */
-template <typename State, unsigned kLanes, bool kFactored>
-void
-matchLoop(const uint32_t* seqIds, std::size_t n, unsigned ways,
-          const GroupLanes<State>& g, const uint8_t* observedHits,
-          const uint8_t* determined, char* match)
-{
-    std::vector<uint32_t> tags(
-        static_cast<std::size_t>(ways) * kLanes, 0);
-    uint32_t st[kLanes] = {};
-    uint32_t ct[kLanes] = {};
-    uint16_t fl[kLanes] = {};
-    for (unsigned l = 0; l < kLanes; ++l)
-        match[l] = 1;
-
-    for (std::size_t j = 0; j < n; ++j) {
-        const uint32_t id = seqIds[j];
-        uint32_t way[kLanes];
-        if constexpr (kLanes >= 4) {
-            for (unsigned l = 0; l < kLanes; ++l)
-                way[l] = ways;
-            for (unsigned w = ways; w-- > 0;) {
-                const uint32_t* p =
-                    tags.data() +
-                    static_cast<std::size_t>(w) * kLanes;
-                for (unsigned l = 0; l < kLanes; ++l)
-                    way[l] = p[l] == id ? w : way[l];
-            }
-        } else {
-            uint64_t mask[kLanes] = {};
-            for (unsigned w = 0; w < ways; ++w) {
-                const uint32_t* p =
-                    tags.data() +
-                    static_cast<std::size_t>(w) * kLanes;
-                for (unsigned l = 0; l < kLanes; ++l)
-                    mask[l] |= static_cast<uint64_t>(p[l] == id)
-                               << w;
-            }
-            for (unsigned l = 0; l < kLanes; ++l)
-                way[l] = static_cast<uint32_t>(std::countr_zero(
-                    mask[l] | (uint64_t{1} << ways)));
-        }
-        for (unsigned l = 0; l < kLanes; ++l) {
-            const uint32_t s = st[l];
-            const std::size_t row =
-                static_cast<std::size_t>(s) * ways;
-            const unsigned f = fl[l];
-            const bool hit = way[l] < f;
-            const uint32_t missWay =
-                f < ways ? f : uint32_t{g.victim[l][s]};
-            const uint32_t w = hit ? way[l] : missWay;
-            tags[static_cast<std::size_t>(w) * kLanes + l] = id;
-            fl[l] = static_cast<uint16_t>(
-                f + static_cast<unsigned>(!hit && f < ways));
-            stepLane<State, kFactored>(g, l, hit, row, w, st[l], ct[l]);
-            if (determined[j] &&
-                hit != static_cast<bool>(observedHits[j]))
-                match[l] = 0;
-        }
-    }
-}
-
-template <typename State, bool kFactored>
-void
-runMatch(const uint32_t* seqIds, std::size_t n, unsigned ways,
-         unsigned lanes, const GroupLanes<State>& g,
-         const uint8_t* observedHits, const uint8_t* determined,
-         char* match)
-{
-    const auto loop = [&](auto width) {
-        matchLoop<State, decltype(width)::value, kFactored>(
-            seqIds, n, ways, g, observedHits, determined, match);
-    };
-    switch (lanes) {
-    case 16:
-        return loop(std::integral_constant<unsigned, 16>{});
-    case 8:
-        return loop(std::integral_constant<unsigned, 8>{});
-    case 4:
-        return loop(std::integral_constant<unsigned, 4>{});
-    case 2:
-        return loop(std::integral_constant<unsigned, 2>{});
-    case 1:
-        return loop(std::integral_constant<unsigned, 1>{});
-    default:
-        throw UsageError("multi_kernel: unsupported lane width " +
-                         std::to_string(lanes));
-    }
-}
-
-/** Width- and shape-dispatching match driver over one homogeneous
- *  group. */
-void
-runMatchGroup(const uint32_t* seqIds, std::size_t n, unsigned ways,
-              const policy::TableLanes& tables,
-              const uint8_t* observedHits, const uint8_t* determined,
-              char* match)
-{
-    require(ways < 64,
-            "multi_kernel: lockstep groups support < 64 ways");
-    const unsigned width = static_cast<unsigned>(tables.size());
-    const auto run = [&](auto state, auto factored) {
-        using State = decltype(state);
-        const GroupLanes<State> g(tables);
-        runMatch<State, decltype(factored)::value>(
-            seqIds, n, ways, width, g, observedHits, determined,
-            match);
-    };
-    const bool narrow = tables[0].touch16 != nullptr;
-    if (groupFactored(tables)) {
-        if (narrow)
-            run(uint16_t{}, std::true_type{});
-        else
-            run(uint32_t{}, std::true_type{});
-    } else if (narrow) {
-        run(uint16_t{}, std::false_type{});
-    } else {
-        run(uint32_t{}, std::false_type{});
-    }
-}
-
-} // namespace
-
 std::vector<char>
 matchObservationMultiPolicy(unsigned ways,
                             const std::vector<SetLane>& lanes,
@@ -845,62 +639,29 @@ matchObservationMultiPolicy(unsigned ways,
         determinedRaw[j] = determined[j] ? 1 : 0;
     }
 
-    struct Group
-    {
-        std::vector<std::size_t> laneIdx;
-        unsigned active = 0; ///< real lanes; the rest is padding
-    };
-    // Width- and shape-homogeneous groups, each chunked
-    // independently (same invariant as simulateMultiPolicy).
-    const auto groupKey = [&](std::size_t i) {
-        return 2 * !lanes[i].table->narrow() +
-               lanes[i].table->factored();
-    };
-    std::stable_sort(compiledIdx.begin(), compiledIdx.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return groupKey(a) < groupKey(b);
-                     });
-    std::vector<Group> groups;
-    {
-        std::vector<std::size_t> run;
-        const auto flushRun = [&] {
-            std::size_t next = 0;
-            for (const unsigned width :
-                 groupWidths(run.size(), kMaxGroupLanes)) {
-                Group group;
-                for (unsigned l = 0; l < width && next < run.size();
-                     ++l)
-                    group.laneIdx.push_back(run[next++]);
-                group.active =
-                    static_cast<unsigned>(group.laneIdx.size());
-                while (group.laneIdx.size() < width)
-                    group.laneIdx.push_back(group.laneIdx.front());
-                groups.push_back(std::move(group));
-            }
-            run.clear();
-        };
-        for (const std::size_t i : compiledIdx) {
-            if (!run.empty() && groupKey(run.front()) != groupKey(i))
-                flushRun();
-            run.push_back(i);
-        }
-        flushRun();
-    }
+    // No table budget here: a single set's tag row is tiny next to
+    // the tables, and candidate lanes may repeat a table.
+    const std::vector<Group> groups = planGroups(
+        std::move(compiledIdx),
+        [&](std::size_t i) { return lanes[i].table.get(); },
+        kMaxGroupLanes, std::numeric_limits<std::size_t>::max());
 
     parallelFor(
         groups.size() + fallbackIdx.size(), numThreads,
         [&](std::size_t item) {
             if (item < groups.size()) {
                 const Group& group = groups[item];
-                std::vector<policy::CompiledTablePtr> groupTables;
+                std::vector<const policy::CompiledTable*> groupTables;
                 for (const std::size_t i : group.laneIdx)
-                    groupTables.push_back(lanes[i].table);
-                const policy::TableLanes tables(
-                    std::move(groupTables));
+                    groupTables.push_back(lanes[i].table.get());
                 char groupMatch[kMaxGroupLanes];
-                runMatchGroup(seqIds.data(), seqIds.size(), ways,
-                              tables, hitsRaw.data(),
-                              determinedRaw.data(), groupMatch);
+                dispatchGroup(groupTables, [&](auto laneCount,
+                                               const auto* steppers) {
+                    matchLoop<decltype(laneCount)::value>(
+                        steppers, seqIds.data(), seqIds.size(),
+                        hitsRaw.data(), determinedRaw.data(),
+                        groupMatch);
+                });
                 for (std::size_t l = 0; l < group.active; ++l)
                     match[group.laneIdx[l]] = groupMatch[l];
                 return;

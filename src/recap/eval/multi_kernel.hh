@@ -21,9 +21,9 @@
  *    runs once per lane group as a vectorizable compare-select over
  *    all lanes, and each lane keeps only its own integer policy
  *    state and fill cursor on top of its slice of the group's tag
- *    rows, stepping its hoisted uint16 (or uint32) transition table
- *    (policy::TableLanes); lanes on a factored table (core plus
- *    control register) also keep one control register per set and
+ *    rows, stepping its uint16 (or uint32) transition table through
+ *    a policy::TableStepper; lanes on a factored table (core plus
+ *    control register) also step one control register per set and
  *    run in groups of their own, so monolithic groups keep the plain
  *    inner loop;
  *  - lanes whose policies have no table fall back to the

@@ -74,15 +74,10 @@ missTurnoverCompiled(const policy::CompiledTable& table,
     const unsigned k = table.ways();
     MetricResult result;
 
-    const uint32_t* touchNext = table.touchData();
-    const uint32_t* fillNext = table.fillData();
-    const uint16_t* victim = table.victimData();
-
     // Canonical fill to a full set from the reset state (index 0).
     uint32_t initial = 0;
     for (unsigned w = 0; w < k; ++w)
-        initial =
-            fillNext[static_cast<std::size_t>(initial) * k + w];
+        initial = table.fillNext(initial, w);
 
     std::vector<bool> visited(table.numStates(), false);
     std::deque<uint32_t> frontier;
@@ -115,8 +110,8 @@ missTurnoverCompiled(const policy::CompiledTable& table,
                     result.unbounded = true;
                     return result;
                 }
-                const unsigned v = victim[sim];
-                sim = fillNext[static_cast<std::size_t>(sim) * k + v];
+                const unsigned v = table.victim(sim);
+                sim = table.fillNext(sim, v);
                 originals &= ~(uint64_t{1} << v);
                 ++count;
             }
@@ -124,16 +119,16 @@ missTurnoverCompiled(const policy::CompiledTable& table,
         }
 
         // Successors: touch(w) for each way, plus one filled miss.
-        const std::size_t row = static_cast<std::size_t>(state) * k;
         for (unsigned w = 0; w < k; ++w) {
-            const uint32_t next = touchNext[row + w];
+            const uint32_t next = table.touchNext(state, w);
             if (!visited[next]) {
                 visited[next] = true;
                 frontier.push_back(next);
             }
         }
         {
-            const uint32_t next = fillNext[row + victim[state]];
+            const uint32_t next =
+                table.fillNext(state, table.victim(state));
             if (!visited[next]) {
                 visited[next] = true;
                 frontier.push_back(next);

@@ -1,5 +1,6 @@
 #include "recap/hier/hierarchy.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "recap/common/bitops.hh"
@@ -94,41 +95,27 @@ Hierarchy::Hierarchy(const hw::MachineSpec& spec, uint64_t seed,
         lvl.valid.assign(sets, 0);
         lvl.dirty.assign(sets, 0);
 
-        const auto hoist = [](const policy::CompiledTable& t) {
-            Level::TablePtrs p;
-            if (t.narrow()) {
-                p.touch16 = t.touchData16();
-                p.fill16 = t.fillData16();
-            } else {
-                p.touch32 = t.touchData();
-                p.fill32 = t.fillData();
+        // Set s of an interpreted constituent is seeded seedBase + s.
+        const auto build = [&](Constituent& c,
+                               const std::string& policySpec,
+                               uint64_t seedBase) {
+            if (!opts.forceInterpreted)
+                c.table = policy::compiledTableFor(policySpec, lvl.ways,
+                                                   opts.budget);
+            if (c.table) {
+                c.stepper = policy::AnyStepper(*c.table);
+                c.state.assign(sets, 0);
+                c.control.assign(sets, 0);
+                return;
             }
-            p.victim = t.victimData();
-            return p;
-        };
-
-        // Factored tables (a control register next to the core) are
-        // not walked here: such constituents keep the interpreted
-        // per-set policies, like an over-budget one.
-        const auto monolithic = [&](const std::string& policySpec) {
-            auto table = policy::compiledTableFor(policySpec, lvl.ways,
-                                                  opts.budget);
-            return table && !table->factored() ? table : nullptr;
-        };
-
-        if (!opts.forceInterpreted)
-            lvl.tableA = monolithic(lvl_spec.policySpec);
-        if (lvl.tableA) {
-            lvl.ptrA = hoist(*lvl.tableA);
-            lvl.stateA.assign(sets, 0);
-        } else {
-            lvl.interpA.reserve(sets);
+            c.interp.reserve(sets);
             for (unsigned s = 0; s < sets; ++s) {
-                lvl.interpA.push_back(policy::makePolicy(
-                    lvl_spec.policySpec, lvl.ways, level_seed + s));
+                c.interp.push_back(policy::makePolicy(
+                    policySpec, lvl.ways, seedBase + s));
             }
-            lvl.metaA = lvl.interpA.front()->usesMeta();
-        }
+            c.meta = c.interp.front()->usesMeta();
+        };
+        build(lvl.a, lvl_spec.policySpec, level_seed);
 
         if (lvl_spec.isAdaptive()) {
             lvl.adaptive = true;
@@ -144,20 +131,7 @@ Hierarchy::Hierarchy(const hw::MachineSpec& spec, uint64_t seed,
             lvl.pselMax = (1u << lvl.duel.pselBits) - 1;
             lvl.psel = (lvl.pselMax + 1) / 2;
 
-            if (!opts.forceInterpreted)
-                lvl.tableB = monolithic(lvl_spec.policySpecB);
-            if (lvl.tableB) {
-                lvl.ptrB = hoist(*lvl.tableB);
-                lvl.stateB.assign(sets, 0);
-            } else {
-                lvl.interpB.reserve(sets);
-                for (unsigned s = 0; s < sets; ++s) {
-                    lvl.interpB.push_back(policy::makePolicy(
-                        lvl_spec.policySpecB, lvl.ways,
-                        level_seed + sets + s));
-                }
-                lvl.metaB = lvl.interpB.front()->usesMeta();
-            }
+            build(lvl.b, lvl_spec.policySpecB, level_seed + sets);
 
             // Leaders are spread evenly, one A-leader at each
             // interval start and one B-leader at its midpoint —
@@ -173,7 +147,7 @@ Hierarchy::Hierarchy(const hw::MachineSpec& spec, uint64_t seed,
             }
         }
 
-        lvl.anyMeta = lvl.metaA || lvl.metaB;
+        lvl.anyMeta = lvl.a.meta || lvl.b.meta;
         levels_.push_back(std::move(lvl));
         level_seed += 0x10001;
     }
@@ -187,76 +161,70 @@ Hierarchy::publishMeta(Level& lvl, unsigned set, cache::Addr addr)
     policy::AccessMeta meta;
     meta.block = addr / lvl.geom.lineSize;
     meta.hasBlock = true;
-    if (lvl.metaA)
-        lvl.interpA[set]->beginAccess(meta);
-    if (lvl.metaB)
-        lvl.interpB[set]->beginAccess(meta);
+    if (lvl.a.meta)
+        lvl.a.interp[set]->beginAccess(meta);
+    if (lvl.b.meta)
+        lvl.b.interp[set]->beginAccess(meta);
+}
+
+void
+Hierarchy::Constituent::touch(unsigned set, unsigned way)
+{
+    if (table)
+        stepper.touch(state[set], control[set], way);
+    else
+        interp[set]->touch(way);
+}
+
+void
+Hierarchy::Constituent::fill(unsigned set, unsigned way)
+{
+    if (table)
+        stepper.fill(state[set], control[set], way);
+    else
+        interp[set]->fill(way);
+}
+
+unsigned
+Hierarchy::Constituent::victim(unsigned set) const
+{
+    return table ? stepper.victim(state[set]) : interp[set]->victim();
+}
+
+void
+Hierarchy::Constituent::reset()
+{
+    std::fill(state.begin(), state.end(), 0u);
+    // Only a factored table's stepper moves a control register off
+    // 0; flushes are hot (one per probe experiment), so a monolithic
+    // table skips the clear.
+    if (table && table->factored())
+        std::fill(control.begin(), control.end(), 0u);
+    for (auto& p : interp)
+        p->reset();
+}
+
+std::string
+Hierarchy::Constituent::stateKey(unsigned set) const
+{
+    return table ? table->stateKey(state[set], control[set])
+                 : interp[set]->stateKey();
 }
 
 void
 Hierarchy::touchBoth(Level& lvl, unsigned set, unsigned way)
 {
-    if (lvl.ptrA.touch16) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateA[set]) * lvl.ways +
-            way;
-        lvl.stateA[set] = lvl.ptrA.touch16[idx];
-    } else if (lvl.ptrA.touch32) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateA[set]) * lvl.ways +
-            way;
-        lvl.stateA[set] = lvl.ptrA.touch32[idx];
-    } else {
-        lvl.interpA[set]->touch(way);
-    }
-    if (!lvl.adaptive)
-        return;
-    if (lvl.ptrB.touch16) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateB[set]) * lvl.ways +
-            way;
-        lvl.stateB[set] = lvl.ptrB.touch16[idx];
-    } else if (lvl.ptrB.touch32) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateB[set]) * lvl.ways +
-            way;
-        lvl.stateB[set] = lvl.ptrB.touch32[idx];
-    } else {
-        lvl.interpB[set]->touch(way);
-    }
+    lvl.a.touch(set, way);
+    if (lvl.adaptive)
+        lvl.b.touch(set, way);
 }
 
 void
 Hierarchy::fillBoth(Level& lvl, unsigned set, unsigned way)
 {
-    if (lvl.ptrA.fill16) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateA[set]) * lvl.ways +
-            way;
-        lvl.stateA[set] = lvl.ptrA.fill16[idx];
-    } else if (lvl.ptrA.fill32) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateA[set]) * lvl.ways +
-            way;
-        lvl.stateA[set] = lvl.ptrA.fill32[idx];
-    } else {
-        lvl.interpA[set]->fill(way);
-    }
-    if (!lvl.adaptive)
-        return;
-    if (lvl.ptrB.fill16) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateB[set]) * lvl.ways +
-            way;
-        lvl.stateB[set] = lvl.ptrB.fill16[idx];
-    } else if (lvl.ptrB.fill32) {
-        const std::size_t idx =
-            static_cast<std::size_t>(lvl.stateB[set]) * lvl.ways +
-            way;
-        lvl.stateB[set] = lvl.ptrB.fill32[idx];
-    } else {
-        lvl.interpB[set]->fill(way);
-    }
+    lvl.a.fill(set, way);
+    if (lvl.adaptive)
+        lvl.b.fill(set, way);
 }
 
 unsigned
@@ -269,12 +237,7 @@ Hierarchy::victimOf(const Level& lvl, unsigned set) const
                 (role == kFollower &&
                  lvl.psel >= (lvl.pselMax + 1) / 2);
     }
-    if (use_b) {
-        return lvl.ptrB.victim ? lvl.ptrB.victim[lvl.stateB[set]]
-                               : lvl.interpB[set]->victim();
-    }
-    return lvl.ptrA.victim ? lvl.ptrA.victim[lvl.stateA[set]]
-                           : lvl.interpA[set]->victim();
+    return use_b ? lvl.b.victim(set) : lvl.a.victim(set);
 }
 
 void
@@ -550,18 +513,8 @@ Hierarchy::flushAll()
             lvl.valid[s] = 0;
             lvl.dirty[s] = 0;
         }
-        if (lvl.tableA)
-            std::fill(lvl.stateA.begin(), lvl.stateA.end(), 0u);
-        else
-            for (auto& p : lvl.interpA)
-                p->reset();
-        if (lvl.adaptive) {
-            if (lvl.tableB)
-                std::fill(lvl.stateB.begin(), lvl.stateB.end(), 0u);
-            else
-                for (auto& p : lvl.interpB)
-                    p->reset();
-        }
+        lvl.a.reset();
+        lvl.b.reset();
         // PSEL deliberately survives the flush, exactly like
         // cache::Cache::flush(): it models a global selector
         // register an invalidation instruction leaves alone.
@@ -654,9 +607,7 @@ Hierarchy::setImage(unsigned level, unsigned set) const
             image.valid[w] = true;
         }
     }
-    image.policyKey = lvl.tableA
-                          ? lvl.tableA->stateKey(lvl.stateA[set])
-                          : lvl.interpA[set]->stateKey();
+    image.policyKey = lvl.a.stateKey(set);
     return image;
 }
 
@@ -665,9 +616,7 @@ Hierarchy::levelCompiled(unsigned level) const
 {
     const Level& lvl =
         checkedLevel(level, "hier::levelCompiled: level range");
-    if (!lvl.tableA)
-        return false;
-    return !lvl.adaptive || static_cast<bool>(lvl.tableB);
+    return lvl.a.table && (!lvl.adaptive || lvl.b.table);
 }
 
 bool

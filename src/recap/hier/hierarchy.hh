@@ -15,14 +15,18 @@
  * state x input -> (state, victim) tables, so the per-access walk is
  * bitmask scans and table lookups only.
  *
+ * Every table steps through policy::TableStepper, the one step rule
+ * of compiled tables; a factored table (the BIP/DIP family at 8
+ * ways) keeps one control register per set next to the core state.
+ *
  * The subsystem is *hybrid* per level and per constituent policy:
- * a policy without a monolithic table (LRU at k = 12, NRU at
- * k = 24, the stochastic "random" policy, and the factored BIP/DIP
- * family at 8 ways) falls back to one interpreted automaton per set,
- * with identical seeds, while its sibling levels — and, in an
- * adaptive level, the sibling duel policy — stay compiled. Behaviour is bit-identical to
- * the interpreted cache::Hierarchy either way; tests/test_hier*.cc
- * pin the equivalence per access, per counter, and per tag image.
+ * a policy without a table (LRU at k = 12, NRU at k = 24, the
+ * stochastic "random" policy) falls back to one interpreted
+ * automaton per set, with identical seeds, while its sibling levels
+ * — and, in an adaptive level, the sibling duel policy — stay
+ * compiled. Behaviour is bit-identical to the interpreted
+ * cache::Hierarchy either way; tests/test_hier*.cc pin the
+ * equivalence per access, per counter, and per tag image.
  *
  * Set-dueling adaptivity is just more integer state: PSEL is one
  * saturating counter per level, set roles are a precomputed byte per
@@ -159,10 +163,9 @@ class Hierarchy
 
     /**
      * True iff every constituent policy of level @p level runs on a
-     * compiled table (no interpreted fallback). Only monolithic
-     * tables count: a constituent that compiles factored (bip, brrip,
-     * dip, drrip at 8 ways and up; see policy/compiled.hh) runs on
-     * interpreted per-set policies here.
+     * compiled table (no interpreted fallback), monolithic or
+     * factored (bip, brrip, dip, drrip at 8 ways; see
+     * policy/compiled.hh).
      */
     bool levelCompiled(unsigned level) const;
 
@@ -170,6 +173,27 @@ class Hierarchy
     bool fullyCompiled() const;
 
   private:
+    /**
+     * One replacement policy of a level, across all its sets: a
+     * compiled table stepped per set (one core state and one control
+     * register each), or one interpreted policy per set.
+     */
+    struct Constituent
+    {
+        policy::CompiledTablePtr table;
+        policy::AnyStepper stepper;
+        std::vector<uint32_t> state;   ///< per set, compiled only
+        std::vector<uint32_t> control; ///< per set, compiled only
+        std::vector<policy::PolicyPtr> interp; ///< interpreted only
+        bool meta = false; ///< interpreted policy consumes AccessMeta
+
+        void touch(unsigned set, unsigned way);
+        void fill(unsigned set, unsigned way);
+        unsigned victim(unsigned set) const;
+        void reset();
+        std::string stateKey(unsigned set) const;
+    };
+
     /** One level in structure-of-arrays form. */
     struct Level
     {
@@ -186,38 +210,12 @@ class Hierarchy
         std::vector<uint32_t> valid; ///< per-set way bitmask
         std::vector<uint32_t> dirty; ///< per-set way bitmask
 
-        /**
-         * Raw transition-table pointers hoisted out of a
-         * CompiledTable once at construction, so the per-access
-         * state updates are plain array indexing with no handle
-         * dereference. Exactly one width per kind is non-null
-         * (narrow when the automaton fits 2^16 states).
-         */
-        struct TablePtrs
-        {
-            const uint16_t* touch16 = nullptr;
-            const uint32_t* touch32 = nullptr;
-            const uint16_t* fill16 = nullptr;
-            const uint32_t* fill32 = nullptr;
-            const uint16_t* victim = nullptr;
-        };
-
-        // Constituent policy A: compiled (tableA + stateA) or
-        // interpreted (interpA), never both.
-        policy::CompiledTablePtr tableA;
-        TablePtrs ptrA;
-        std::vector<uint32_t> stateA;
-        std::vector<policy::PolicyPtr> interpA;
-        bool metaA = false; ///< interpreted A consumes AccessMeta
-
+        // Duel constituents: A always, B on adaptive levels only.
+        Constituent a;
         bool adaptive = false;
-        policy::CompiledTablePtr tableB;
-        TablePtrs ptrB;
-        std::vector<uint32_t> stateB;
-        std::vector<policy::PolicyPtr> interpB;
-        bool metaB = false;
+        Constituent b;
 
-        bool anyMeta = false; ///< metaA || metaB, hot-path gate
+        bool anyMeta = false; ///< a.meta || b.meta, hot-path gate
 
         cache::DuelingConfig duel;
         unsigned psel = 0;

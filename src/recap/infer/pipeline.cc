@@ -199,6 +199,9 @@ inferLevelAtImpl(MeasurementContext& ctx,
             tryLearnEscalation(prober, lvl, opts, level, seedSalt);
             return finish(lvl);
         }
+        // No candidate is no verdict: the level stays undetermined
+        // unless the learner decides it.
+        lvl.outcome = LevelOutcome::kUndetermined;
         lvl.verdict = "unidentified (no candidate matched)";
         lvl.diagnostics = "every candidate family member eliminated";
         // Step 3: learn the out-of-family policy from scratch.

@@ -18,6 +18,14 @@
  * an integer copy, and the batch kernels in eval/ and query/ can keep
  * per-set state in structure-of-arrays form.
  *
+ * TableStepper is the one definition of how a table steps: hit,
+ * fill, victim. visitStepper() picks its element width and shape
+ * from a table, AnyStepper dispatches them per call. Every consumer
+ * steps through it: the single kernel (eval/kernel.cc), the lockstep
+ * lanes and the match loop (eval/multi_kernel.cc), the query
+ * snapshot walk (query/batch.cc), CompiledPolicy and the hier::
+ * levels.
+ *
  * What gets enumerated depends on the policy's PolicyShape:
  *
  *  - kMonolithic: the policy itself, as one automaton.
@@ -53,8 +61,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
+#include "recap/common/error.hh"
 #include "recap/policy/policy.hh"
 
 namespace recap::policy
@@ -99,6 +110,9 @@ namespace detail
 struct TableArrays;
 struct TableBuilder;
 } // namespace detail
+
+template <typename Elem, bool kFactored, unsigned kFixedWays = 0>
+class TableStepper;
 
 /**
  * Immutable transition tables of one compiled policy. State 0 is the
@@ -177,34 +191,23 @@ class CompiledTable
         return controlKeys_[control];
     }
 
-    /** Raw table base pointers for the batch kernels' inner loops.
-     *  The fill arrays hold insertion variant 1 at altOffset(). */
-    const uint32_t* touchData() const { return touch_; }
-    const uint32_t* fillData() const { return fill_; }
-    const uint16_t* victimData() const { return victim_; }
-    std::size_t altOffset() const { return altOffset_; }
-    const uint32_t* controlTouchData() const
-    {
-        return controlTouch_.data();
-    }
-    const uint32_t* controlFillData() const
-    {
-        return controlFill_.data();
-    }
-
     /**
      * True when the automaton has at most 2^16 states; the narrow
-     * uint16 mirrors below are then populated. Halving the table
-     * footprint matters: at 64k states the uint32 tables are 2 MiB
-     * each and state-indexed lookups thrash L2, while the narrow
-     * mirrors keep both tables resident.
+     * uint16 mirrors are then populated and TableStepper walks them.
+     * Halving the table footprint matters: at 64k states the uint32
+     * tables are 2 MiB each and state-indexed lookups thrash L2,
+     * while the narrow mirrors keep both tables resident.
      */
     bool narrow() const { return touch16_ != nullptr; }
-    const uint16_t* touchData16() const { return touch16_; }
-    const uint16_t* fillData16() const { return fill16_; }
+
+    /** Base of the uint32 touch rows: tables built on one shared
+     *  core (see the file comment) return the same pointer. */
+    const uint32_t* touchData() const { return touch_; }
 
   private:
     friend struct detail::TableBuilder;
+    template <typename, bool, unsigned>
+    friend class TableStepper;
 
     unsigned ways_ = 0;
     uint32_t numStates_ = 0;
@@ -288,66 +291,206 @@ class CompiledTableView
 };
 
 /**
- * Hoisted raw-pointer view over the transition tables of several
- * compiled policies at one shared associativity — the lane array of
- * the multi-policy lockstep kernel (eval/multi_kernel.hh).
+ * The step rule of a compiled table, and its only definition (the
+ * file comment lists the consumers). A hit on way w moves the core
+ * state along its touch row and, on a factored table, the control
+ * register along controlTouch(). A fill of way w first unpacks
+ * controlFill() into next << 1 | alt, then moves the core state
+ * along the fill row of insertion variant alt. Monolithic tables
+ * have no control register: @p c is then neither read nor written.
  *
- * The kernel steps N automatons per decoded access; going through
- * CompiledTablePtr would pay a shared_ptr dereference plus a
- * narrow() branch per lane per access. This view resolves both once:
- * it keeps the shared tables alive and exposes, per lane, the raw
- * base pointers of the narrow uint16 mirrors (when the automaton
- * fits 2^16 states) or the wide uint32 tables, plus the victim
- * vector, so the inner loop is pure array arithmetic.
+ * A stepper is a few hoisted table pointers, cheap to copy, valid
+ * while its table lives. @p Elem picks the table's element width
+ * (uint16_t for a narrow() table, else uint32_t), @p kFactored its
+ * shape; a nonzero @p kFixedWays makes the associativity a
+ * compile-time constant, so batch loops get a fixed trip count for
+ * their tag scans and a shift for the row multiply. visitStepper()
+ * picks the parameters from a table.
  */
-class TableLanes
+template <typename Elem, bool kFactored, unsigned kFixedWays>
+class TableStepper
 {
+    static_assert(std::is_same_v<Elem, uint16_t> ||
+                  std::is_same_v<Elem, uint32_t>);
+
   public:
-    /** Raw table pointers of one lane. Exactly one of the
-     *  touch16/touch32 pairs is non-null (likewise fill); the control
-     *  pointers are non-null for a factored table only. */
-    struct Lane
+    /** The same stepper with the associativity fixed to @p K. */
+    template <unsigned K>
+    using WithWays = TableStepper<Elem, kFactored, K>;
+
+    TableStepper() = default;
+
+    /** @throws LogicBug when @p table's width, shape or (if fixed)
+     *  associativity differs from the stepper's. */
+    explicit TableStepper(const CompiledTable& table)
+        : ways_(table.ways()), victim_(table.victim_),
+          altOffset_(table.altOffset_),
+          controlTouch_(table.controlTouch_.data()),
+          controlFill_(table.controlFill_.data())
     {
-        const uint16_t* touch16 = nullptr;
-        const uint16_t* fill16 = nullptr;
-        const uint32_t* touch32 = nullptr;
-        const uint32_t* fill32 = nullptr;
-        const uint16_t* victim = nullptr;
-        const uint32_t* controlTouch = nullptr;
-        const uint32_t* controlFill = nullptr;
-        std::size_t altOffset = 0;
-        uint32_t numStates = 0;
-    };
-
-    TableLanes() = default;
-
-    /**
-     * @throws UsageError when @p tables is empty, contains a null
-     *         entry, or the tables disagree on associativity.
-     */
-    explicit TableLanes(std::vector<CompiledTablePtr> tables);
-
-    /** Shared associativity of every lane. */
-    unsigned ways() const { return ways_; }
-
-    std::size_t size() const { return lanes_.size(); }
-    bool empty() const { return lanes_.empty(); }
-
-    const Lane& operator[](std::size_t lane) const
-    {
-        return lanes_[lane];
+        if constexpr (std::is_same_v<Elem, uint16_t>) {
+            touch_ = table.touch16_;
+            fill_ = table.fill16_;
+        } else {
+            touch_ = table.touch_;
+            fill_ = table.fill_;
+        }
+        ensure(touch_ != nullptr && table.factored() == kFactored &&
+                   (kFixedWays == 0 || kFixedWays == table.ways()),
+               "TableStepper: table does not match the stepper type");
     }
 
-    /** The shared table lane @p lane reads from. */
-    const CompiledTablePtr& table(std::size_t lane) const
+    unsigned ways() const
     {
-        return tables_[lane];
+        return kFixedWays != 0 ? kFixedWays : ways_;
+    }
+
+    /** Way the next miss in core state @p s evicts. */
+    Way victim(uint32_t s) const { return victim_[s]; }
+
+    /** A hit on way @p w. */
+    void touch(uint32_t& s, uint32_t& c, Way w) const
+    {
+        s = touch_[row(s) + w];
+        if constexpr (kFactored)
+            c = controlTouch_[c];
+    }
+
+    /** A fill of way @p w. */
+    void fill(uint32_t& s, uint32_t& c, Way w) const
+    {
+        std::size_t variant = 0;
+        if constexpr (kFactored) {
+            const uint32_t packed = controlFill_[c];
+            c = packed >> 1;
+            variant = (packed & 1) * altOffset_;
+        }
+        s = fill_[variant + row(s) + w];
+    }
+
+    /** touch() when @p hit, else fill(), with selects instead of a
+     *  branch: the lockstep lanes hit and miss independently. */
+    void step(bool hit, uint32_t& s, uint32_t& c, Way w) const
+    {
+        const Elem* next = hit ? touch_ : fill_;
+        std::size_t variant = 0;
+        if constexpr (kFactored) {
+            const uint32_t packed = controlFill_[c];
+            const uint32_t touched = controlTouch_[c];
+            variant = hit ? 0 : (packed & 1) * altOffset_;
+            c = hit ? touched : packed >> 1;
+        }
+        s = next[variant + row(s) + w];
     }
 
   private:
+    std::size_t row(uint32_t s) const
+    {
+        return static_cast<std::size_t>(s) * ways();
+    }
+
     unsigned ways_ = 0;
-    std::vector<CompiledTablePtr> tables_;
-    std::vector<Lane> lanes_;
+    const Elem* touch_ = nullptr;
+    const Elem* fill_ = nullptr;
+    const uint16_t* victim_ = nullptr;
+    std::size_t altOffset_ = 0;
+    const uint32_t* controlTouch_ = nullptr;
+    const uint32_t* controlFill_ = nullptr;
+};
+
+/** Calls @p f with the TableStepper of @p table's width and shape. */
+template <typename F>
+decltype(auto)
+visitStepper(const CompiledTable& table, F&& f)
+{
+    if (table.factored()) {
+        if (table.narrow())
+            return f(TableStepper<uint16_t, true>(table));
+        return f(TableStepper<uint32_t, true>(table));
+    }
+    if (table.narrow())
+        return f(TableStepper<uint16_t, false>(table));
+    return f(TableStepper<uint32_t, false>(table));
+}
+
+/**
+ * visitStepper() with the associativity fixed at compile time when
+ * it is 2, 4, 8 or 16 (the batch loops' specializations), dynamic
+ * otherwise.
+ */
+template <typename F>
+decltype(auto)
+visitFixedWaysStepper(const CompiledTable& table, F&& f)
+{
+    return visitStepper(table, [&](auto stepper) -> decltype(auto) {
+        using Stepper = decltype(stepper);
+        switch (table.ways()) {
+          case 2:
+            return f(typename Stepper::template WithWays<2>(table));
+          case 4:
+            return f(typename Stepper::template WithWays<4>(table));
+          case 8:
+            return f(typename Stepper::template WithWays<8>(table));
+          case 16:
+            return f(typename Stepper::template WithWays<16>(table));
+          default:
+            return f(stepper);
+        }
+    });
+}
+
+/**
+ * A stepper over any table, its width and shape dispatched per call:
+ * for consumers that keep one table per object instead of one loop
+ * per table (CompiledPolicy, the hier:: levels).
+ */
+class AnyStepper
+{
+    using Variant = std::variant<TableStepper<uint16_t, false>,
+                                 TableStepper<uint32_t, false>,
+                                 TableStepper<uint16_t, true>,
+                                 TableStepper<uint32_t, true>>;
+
+    /** A plain switch, so every call inlines. */
+    template <typename F>
+    decltype(auto) visit(F&& f) const
+    {
+        switch (stepper_.index()) {
+          case 0:
+            return f(*std::get_if<0>(&stepper_));
+          case 1:
+            return f(*std::get_if<1>(&stepper_));
+          case 2:
+            return f(*std::get_if<2>(&stepper_));
+          default:
+            return f(*std::get_if<3>(&stepper_));
+        }
+    }
+
+    Variant stepper_;
+
+  public:
+    AnyStepper() = default;
+
+    explicit AnyStepper(const CompiledTable& table)
+        : stepper_(visitStepper(
+              table, [](auto stepper) -> Variant { return stepper; }))
+    {}
+
+    Way victim(uint32_t s) const
+    {
+        return visit([&](const auto& st) { return st.victim(s); });
+    }
+
+    void touch(uint32_t& s, uint32_t& c, Way w) const
+    {
+        visit([&](const auto& st) { st.touch(s, c, w); });
+    }
+
+    void fill(uint32_t& s, uint32_t& c, Way w) const
+    {
+        visit([&](const auto& st) { st.fill(s, c, w); });
+    }
 };
 
 /**
@@ -409,23 +552,15 @@ class CompiledPolicy : public ReplacementPolicy
     void touch(Way way) override
     {
         checkWay(way);
-        state_ = table_->touchNext(state_, way);
-        if (table_->factored())
-            control_ = table_->controlTouch(control_);
+        stepper_.touch(state_, control_, way);
     }
 
-    Way victim() const override { return table_->victim(state_); }
+    Way victim() const override { return stepper_.victim(state_); }
 
     void fill(Way way) override
     {
         checkWay(way);
-        bool alt = false;
-        if (table_->factored()) {
-            const uint32_t packed = table_->controlFill(control_);
-            control_ = packed >> 1;
-            alt = (packed & 1) != 0;
-        }
-        state_ = table_->fillNext(state_, way, alt);
+        stepper_.fill(state_, control_, way);
     }
 
     std::string name() const override { return table_->policyName(); }
@@ -448,6 +583,7 @@ class CompiledPolicy : public ReplacementPolicy
 
   private:
     CompiledTablePtr table_;
+    AnyStepper stepper_;
     uint32_t state_ = 0;
     uint32_t control_ = 0;
 };

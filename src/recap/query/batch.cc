@@ -35,18 +35,17 @@ constexpr unsigned kFastWays = 16;
 /**
  * Plain-data stand-in for policy::SetModel over a compiled table:
  * inline block array, integer policy state (plus the control
- * register of a factored table), fill cursor. Copying one (the
- * snapshot at a trie branch) is a memcpy instead of a policy clone,
- * and access() is two array lookups. Mirrors SetModel::access
+ * register of a factored table), fill cursor, stepped through a
+ * policy::TableStepper. Copying one (the snapshot at a trie branch)
+ * is a memcpy instead of a policy clone. Mirrors SetModel::access
  * exactly: fills take the lowest invalid way — always the fill
  * cursor, since only flush() ever invalidates — then the victim.
  */
-template <bool kFactored>
+template <typename Stepper>
 class FastSetModel
 {
   public:
-    explicit FastSetModel(const policy::CompiledTable& table)
-        : table_(&table)
+    explicit FastSetModel(const Stepper& stepper) : stepper_(&stepper)
     {}
 
     void flush()
@@ -58,34 +57,22 @@ class FastSetModel
 
     bool access(BlockId block)
     {
-        const unsigned k = table_->ways();
-        const std::size_t row = std::size_t{state_} * k;
         for (unsigned w = 0; w < filled_; ++w) {
             if (blocks_[w] == block) {
-                state_ = table_->touchData()[row + w];
-                if constexpr (kFactored)
-                    control_ = table_->controlTouchData()[control_];
+                stepper_->touch(state_, control_, w);
                 return true;
             }
         }
-        unsigned way;
-        if (filled_ < k)
-            way = filled_++;
-        else
-            way = table_->victimData()[state_];
+        const unsigned way = filled_ < stepper_->ways()
+                                 ? filled_++
+                                 : stepper_->victim(state_);
         blocks_[way] = block;
-        std::size_t variant = 0;
-        if constexpr (kFactored) {
-            const uint32_t packed = table_->controlFillData()[control_];
-            control_ = packed >> 1;
-            variant = (packed & 1) * table_->altOffset();
-        }
-        state_ = table_->fillData()[variant + row + way];
+        stepper_->fill(state_, control_, way);
         return false;
     }
 
   private:
-    const policy::CompiledTable* table_;
+    const Stepper* stepper_;
     std::array<BlockId, kFastWays> blocks_{};
     uint32_t state_ = 0;
     uint32_t control_ = 0;
@@ -209,13 +196,13 @@ batchEvaluateSnapshot(PolicyOracle& oracle,
     // branch-point snapshots are memcpys instead of policy clones.
     const policy::CompiledTablePtr table =
         opts.compiledKernel ? oracle.compiledTable() : nullptr;
-    if (table && table->ways() <= kFastWays && table->factored()) {
-        parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
-            walkSubtree(trie, roots[r], FastSetModel<true>(*table));
-        });
-    } else if (table && table->ways() <= kFastWays) {
-        parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
-            walkSubtree(trie, roots[r], FastSetModel<false>(*table));
+    if (table && table->ways() <= kFastWays) {
+        policy::visitStepper(*table, [&](const auto stepper) {
+            parallelFor(roots.size(), opts.numThreads,
+                        [&](std::size_t r) {
+                            walkSubtree(trie, roots[r],
+                                        FastSetModel(stepper));
+                        });
         });
     } else {
         parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {

@@ -40,18 +40,29 @@ namespace recap::policy
 namespace
 {
 
-/** Budget the differential suite compiles under: generous enough
- * for every tractable catalog automaton, small enough that
- * intractable ones (16-way true LRU, BIP's epoch counter) abort
- * quickly. 16-way gets a tighter cap — its tractable automata
- * (PLRU, FIFO) are small, and enumerating 2^16-state ones on every
- * test run is time better spent elsewhere. */
+/** Budget the differential suite compiles under: the default up to
+ * 8 ways, so every table the library compiles there — the
+ * 130 740-state uint32 drrip:1,4,3,4 included — is held to its
+ * interpreted policy. 16-way gets a tighter cap — its tractable
+ * automata (PLRU, FIFO) are small, and enumerating 2^16-state ones
+ * on every test run is time better spent elsewhere. */
 CompileBudget
 testBudget(unsigned ways = 8)
 {
     CompileBudget budget;
-    budget.maxStates = ways >= 16 ? (1u << 15) : (1u << 16);
+    if (ways >= 16)
+        budget.maxStates = 1u << 15;
     return budget;
+}
+
+/** The baseline catalog plus drrip:1,4,3,4, whose 8-way table is
+ * too big for the narrow uint16 mirrors. */
+std::vector<std::string>
+differentialSpecs()
+{
+    auto specs = baselineSpecs();
+    specs.push_back("drrip:1,4,3,4");
+    return specs;
 }
 
 class CompiledDifferential
@@ -175,7 +186,7 @@ TEST_P(CompiledDifferential, CloneResetFillFuzz)
 
 INSTANTIATE_TEST_SUITE_P(
     Catalog, CompiledDifferential,
-    ::testing::ValuesIn(baselineSpecs()),
+    ::testing::ValuesIn(differentialSpecs()),
     [](const ::testing::TestParamInfo<std::string>& info) {
         std::string name = info.param;
         for (char& c : name)
@@ -629,7 +640,8 @@ TEST(FactoredTable, ProductEqualsMonolithicAt4Ways)
  * Every simulation kernel steps the control register: the single
  * kernel, the lockstep lanes (with final images) and the
  * single-set match kernel all equal cache::Cache / SetModel on the
- * factored specs at 8 ways.
+ * factored specs at 8 ways, and on the uint32-wide monolithic
+ * drrip:1,4,3,4 beside them.
  */
 TEST(FactoredTable, KernelsMatchCacheAt8Ways)
 {
@@ -638,6 +650,7 @@ TEST(FactoredTable, KernelsMatchCacheAt8Ways)
     std::vector<std::string> specs(std::begin(kFactoredSpecs),
                                    std::end(kFactoredSpecs));
     specs.push_back("lru"); // a monolithic lane beside them
+    specs.push_back("drrip:1,4,3,4"); // and a uint32-wide one
 
     eval::MultiPolicyOptions mopts;
     mopts.numThreads = 1;

@@ -97,24 +97,34 @@ TEST(Hier, FallbackLevelsRunInterpreted)
     EXPECT_FALSE(h2.fullyCompiled());
 }
 
-TEST(Hier, FactoredConstituentRunsInterpreted)
+TEST(Hier, FactoredConstituentRunsCompiled)
 {
     // dip at 8 ways compiles only in factored form; the hierarchy
-    // walks monolithic tables and keeps interpreted per-set policies
-    // for such a level, bit-identical to cache::Hierarchy.
+    // steps its core state and one control register per set,
+    // bit-identical to cache::Hierarchy down to the policy keys.
     const auto spec = smallSpec("plru", "dip");
     const auto table = policy::compiledTableFor("dip", 8);
     ASSERT_NE(table, nullptr);
     EXPECT_TRUE(table->factored());
     hier::Hierarchy h(spec);
     EXPECT_TRUE(h.levelCompiled(0));
-    EXPECT_FALSE(h.levelCompiled(1));
-    EXPECT_FALSE(h.fullyCompiled());
+    EXPECT_TRUE(h.levelCompiled(1));
+    EXPECT_TRUE(h.fullyCompiled());
 
-    const auto report =
-        hier::crossCheck(spec, mixedTrace(20000, 64 * 1024, 9), {});
-    EXPECT_FALSE(report.fullyCompiled);
+    const auto refs = mixedTrace(20000, 64 * 1024, 9);
+    const auto report = hier::crossCheck(spec, refs, {});
+    EXPECT_TRUE(report.fullyCompiled);
     EXPECT_TRUE(report.ok) << report.detail;
+
+    cache::Hierarchy ref = eval::buildHierarchy(spec, 1);
+    for (const auto& r : refs) {
+        h.access(r.addr, r.write);
+        ref.access(r.addr, r.write);
+    }
+    for (unsigned set = 0; set < h.geometry(1).numSets; ++set)
+        EXPECT_EQ(h.setImage(1, set).policyKey,
+                  ref.level(1).cache.setImage(set).policyKey)
+            << "set " << set;
 }
 
 TEST(Hier, AccessorRangeChecks)

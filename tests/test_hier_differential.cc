@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "recap/hier/simulate.hh"
 #include "recap/hw/catalog.hh"
 #include "recap/trace/generators.hh"
@@ -53,9 +57,34 @@ TEST(HierDifferential, ClassicCatalogLockstep)
         sweepMachine(spec, cache::InclusionMode::kNonInclusive);
 }
 
+/**
+ * The modern catalog plus 8-way-LLC variants of its DIP and DRRIP
+ * machines: at 8 ways dip and drrip compile factored (a core state
+ * and a control register per set) and drrip:1,4,3,4 into a
+ * uint32-wide monolithic table, so the walk steps every table shape.
+ */
+std::vector<hw::MachineSpec>
+modernMachines()
+{
+    auto machines = hw::modernCatalog();
+    for (const auto& [base, policy] :
+         {std::pair{"haswell-dip", "dip"},
+          std::pair{"skylake-drrip", "drrip"},
+          std::pair{"skylake-drrip", "drrip:1,4,3,4"}}) {
+        auto spec = hw::catalogMachine(base);
+        auto& llc = spec.levels.back();
+        llc.capacityBytes = llc.capacityBytes / llc.ways * 8;
+        llc.ways = 8;
+        llc.policySpec = policy;
+        spec.name += std::string("-") + policy + "@8";
+        machines.push_back(spec);
+    }
+    return machines;
+}
+
 TEST(HierDifferential, ModernCatalogLockstep)
 {
-    for (const auto& spec : hw::modernCatalog())
+    for (const auto& spec : modernMachines())
         sweepMachine(spec, cache::InclusionMode::kNonInclusive);
 }
 
@@ -73,7 +102,7 @@ TEST(HierDifferential, ClassicCatalogExclusiveLockstep)
 
 TEST(HierDifferential, ModernCatalogInclusiveAndExclusiveLockstep)
 {
-    for (const auto& spec : hw::modernCatalog()) {
+    for (const auto& spec : modernMachines()) {
         sweepMachine(spec, cache::InclusionMode::kInclusive);
         sweepMachine(spec, cache::InclusionMode::kExclusive);
     }

@@ -164,6 +164,8 @@ TEST(Pipeline, LearningEscalationCanBeDisabled)
     const auto& lvl = report.levels[0];
     EXPECT_FALSE(lvl.learned);
     EXPECT_EQ(lvl.verdict, "unidentified (no candidate matched)");
+    // Unidentified is an abstention, not a verdict.
+    EXPECT_EQ(lvl.outcome, infer::LevelOutcome::kUndetermined);
 }
 
 TEST(Pipeline, AgreementMeasuredAgainstWrongModelIsLow)
